@@ -4,15 +4,17 @@
 # fault-injection suite under the race detector), the recovery smoke
 # (kill -9 a checkpointing live pipeline, restart, verify restore and
 # closed accounting), the diagnostics smoke (pull and validate
-# diagnostic bundles from a running pipeline), and the soak smoke (the
+# diagnostic bundles from a running pipeline), the soak smoke (the
 # live pipeline under an impaired wire plus a scrambled multi-pass
-# feed, with both accounting ledgers required to close).
+# feed, with both accounting ledgers required to close), and the
+# benchmark build (perfbench/ is its own module, so `go build ./...`
+# never compiles it).
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-obs bench-shard bench-shard-smoke bench-batch bench-checkpoint bench-checkpoint-smoke bench-tier bench-tier-smoke fuzz-smoke chaos-smoke recovery-smoke diag-smoke soak-smoke impair-smoke clean
+.PHONY: check vet build test race bench-build bench bench-obs bench-shard bench-shard-smoke bench-batch bench-checkpoint bench-checkpoint-smoke bench-tier bench-tier-smoke fuzz-smoke chaos-smoke recovery-smoke diag-smoke soak-smoke impair-smoke clean
 
-check: vet build test race fuzz-smoke chaos-smoke recovery-smoke diag-smoke soak-smoke bench-checkpoint-smoke
+check: vet build test race bench-build fuzz-smoke chaos-smoke recovery-smoke diag-smoke soak-smoke bench-checkpoint-smoke
 
 vet:
 	$(GO) vet ./...
@@ -31,6 +33,12 @@ race:
 		./internal/store/... ./internal/telemetry/... \
 		./internal/netsim/... ./internal/flow/... \
 		./internal/checkpoint/... ./internal/ml/sketch/...
+
+# bench-build vets and tests the benchmark module (perfbench/), which
+# imports the internal packages: an internal API change that breaks
+# the benchmark fails here instead of at the next benchmark run.
+bench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz-smoke runs each fuzz target for 10s from its committed seed
 # corpus (testdata/fuzz/) — enough to catch format-level regressions
@@ -96,7 +104,7 @@ bench-obs:
 		-bench BenchmarkLivePipeline_Latency -benchtime 5000x .
 	@echo wrote $(CURDIR)/BENCH_obs.json
 
-# bench-shard sweeps the sharded pipeline (legacy baseline plus
+# bench-shard sweeps the sharded pipeline (one-shard baseline plus
 # shards×workers configurations) with mutex/block profiling on and
 # writes the throughput/contention table — plus the sweep-wide
 # contention attribution (blocked time by pipeline stage) — to
@@ -111,7 +119,7 @@ bench-shard:
 # bench-shard-smoke is the CI gate for the scaling sweep: one short
 # iteration per configuration (enough to exercise the multi-producer
 # demux and the contention sampling, not to measure), then diagcheck
-# validates the JSON shape — legacy baseline row, sharded rows,
+# validates the JSON shape — one-shard baseline row, multi-shard rows,
 # positive throughput, populated contention attribution.
 bench-shard-smoke:
 	BENCH_SHARD_OUT=$(CURDIR)/BENCH_shard_smoke.json $(GO) test -run '^$$' \

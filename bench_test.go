@@ -692,7 +692,7 @@ func benchName(rate int) string {
 // outcome, accumulated across sub-benchmarks and dumped as
 // BENCH_shard.json (see `make bench-shard`).
 type shardBenchResult struct {
-	Shards       int     `json:"shards"` // 0 = legacy single-lock DB
+	Shards       int     `json:"shards"`
 	Workers      int     `json:"workers"`
 	NsPerIngest  float64 `json:"ns_per_ingest"`
 	IngestPerSec float64 `json:"ingest_per_sec"`
@@ -726,7 +726,7 @@ var (
 // observations into the per-shard ingest queues and the timer stops
 // only once the ingesters have drained the backlog, so ns_per_ingest
 // is the end-to-end data-path rate, not the cost of a channel send.
-// The shards=0 row is the paper-faithful single-lock baseline. On a
+// The shards=1 row is the paper-faithful one-database baseline. On a
 // single-core host the sweep mainly shows the striping costs nothing;
 // the throughput separation appears with 4+ cores.
 func BenchmarkShardScaling(b *testing.B) {
@@ -744,14 +744,10 @@ func BenchmarkShardScaling(b *testing.B) {
 	attribBase := prof.Attribution(0, nil)
 
 	configs := []struct{ shards, workers int }{
-		{0, 1}, {1, 1}, {2, 2}, {4, 4}, {8, 8},
+		{1, 1}, {2, 2}, {4, 4}, {8, 8},
 	}
 	for _, cfg := range configs {
-		name := "legacy"
-		if cfg.shards > 0 {
-			name = benchShardName(cfg.shards, cfg.workers)
-		}
-		b.Run(name, func(b *testing.B) {
+		b.Run(benchShardName(cfg.shards, cfg.workers), func(b *testing.B) {
 			reg := NewObsRegistry()
 			live, err := NewLiveRuntime(LiveRuntimeConfig{
 				Models: []Classifier{model}, Scaler: scaler, Registry: reg,

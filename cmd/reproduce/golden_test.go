@@ -4,9 +4,10 @@
 // to re-bless the files after an intentional change.
 //
 // The sharded store rides the same rails: TestGoldenTableVISharded
-// renders Table VI with Shards=1 and requires it byte-identical to
-// the legacy single-lock output — the acceptance gate that makes
-// sharding a deployment substitution, not a semantic change.
+// renders Table VI at shard widths 1, 4, and 8 and requires them
+// byte-identical to each other and to the golden file — the
+// acceptance gate that makes sharding a deployment substitution, not
+// a semantic change.
 package main
 
 import (
@@ -107,7 +108,7 @@ func TestGoldenTableV(t *testing.T) {
 }
 
 // tableVI renders Table VI at the golden configuration with the given
-// store layout and scoring batch size.
+// store shard count and scoring batch size.
 func tableVI(t *testing.T, shards int, predictBatch ...int) string {
 	t.Helper()
 	cfg := intddos.LiveConfig{
@@ -124,24 +125,24 @@ func tableVI(t *testing.T, shards int, predictBatch ...int) string {
 }
 
 func TestGoldenTableVI(t *testing.T) {
-	checkGolden(t, "table6.txt", tableVI(t, 0))
+	checkGolden(t, "table6.txt", tableVI(t, 1))
 }
 
 // TestGoldenTableVISharded pins the bit-identity guarantee at every
 // shard width: the CentralServer polls the merged global journal
 // order (per-shard journals carry global ingest stamps), so the same
 // experiment through a ShardedDB of any width must render Table VI
-// byte-for-byte identical to the legacy single-lock store (and
-// therefore to the golden file).
+// byte-for-byte identical to one shard (and therefore to the golden
+// file).
 func TestGoldenTableVISharded(t *testing.T) {
-	legacy := tableVI(t, 0)
-	for _, shards := range []int{1, 4, 8} {
-		if sharded := tableVI(t, shards); legacy != sharded {
-			t.Errorf("Table VI differs between legacy DB and ShardedDB(%d):\n--- legacy\n%s\n--- sharded\n%s",
-				shards, legacy, sharded)
+	one := tableVI(t, 1)
+	for _, shards := range []int{4, 8} {
+		if sharded := tableVI(t, shards); one != sharded {
+			t.Errorf("Table VI differs between ShardedDB(1) and ShardedDB(%d):\n--- 1 shard\n%s\n--- %d shards\n%s",
+				shards, one, shards, sharded)
 		}
 	}
-	checkGolden(t, "table6.txt", legacy)
+	checkGolden(t, "table6.txt", one)
 }
 
 // TestGoldenTableVIBatch32 pins the batched-inference bit-identity
@@ -150,7 +151,7 @@ func TestGoldenTableVISharded(t *testing.T) {
 // blessed at the paper-faithful batch size of 1. Batching amortizes
 // the ensemble call but never moves a decision, a vote, or a latency.
 func TestGoldenTableVIBatch32(t *testing.T) {
-	checkGolden(t, "table6.txt", tableVI(t, 0, 32))
+	checkGolden(t, "table6.txt", tableVI(t, 1, 32))
 }
 
 // TestGoldenTableVITriageInert pins the tiered-inference exact mode:
@@ -159,7 +160,7 @@ func TestGoldenTableVIBatch32(t *testing.T) {
 // to the golden file. Enabling the plumbing without a threshold must
 // not move a single decision.
 func TestGoldenTableVITriageInert(t *testing.T) {
-	legacy := tableVI(t, 0)
+	legacy := tableVI(t, 1)
 	inert, err := intddos.RunTableVI(intddos.LiveConfig{
 		Scale: goldenScale, Seed: goldenSeed, PacketsPerType: goldenPackets,
 		Triage: true, TriageThreshold: -1, TriageModel: "GNB",

@@ -92,9 +92,9 @@ func (l *Live) restoreLatest(dir string) error {
 	}
 	for i, snap := range chain {
 		path := paths[i]
-		if snap.Shards != l.nShards {
+		if snap.Shards != l.cfg.Shards {
 			return fmt.Errorf("core: checkpoint %s was taken at %d shards, pipeline has %d — restore with matching -shards",
-				path, snap.Shards, l.nShards)
+				path, snap.Shards, l.cfg.Shards)
 		}
 		if snap.Fingerprint != l.fingerprint {
 			return fmt.Errorf("core: checkpoint %s was taken under a different model/scaler bundle (fingerprint %016x, pipeline %016x)",
@@ -112,30 +112,26 @@ func (l *Live) restoreLatest(dir string) error {
 		if err := l.tables.RestoreShard(s, sh.Table); err != nil {
 			return fmt.Errorf("core: restore %s: %w", basePath, err)
 		}
-		if err := l.ckptStore.ImportShard(s, sh.Store); err != nil {
+		if err := l.rawDB.ImportShard(s, sh.Store); err != nil {
 			return fmt.Errorf("core: restore %s: %w", basePath, err)
 		}
 	}
 	for _, w := range base.Windows {
-		shard := w.Key.Shard(l.nShards)
-		l.shards[shard].windows[w.Key] = append([]int(nil), w.Votes...)
+		l.votes.restore(w.Key, w.Votes)
 	}
 	if len(base.Predictions) > 0 {
 		// Version-1 snapshot: the prediction log is one global section;
 		// ImportPredictions routes it onto the per-shard logs.
-		l.ckptStore.ImportPredictions(base.Predictions)
+		l.rawDB.ImportPredictions(base.Predictions)
 	}
 	for i, d := range chain[1:] {
 		path := paths[i+1]
-		if l.deltaStore == nil {
-			return fmt.Errorf("core: restore %s: store does not support incremental checkpoints", path)
-		}
 		for s := range d.ShardStates {
 			sh := &d.ShardStates[s]
 			if err := l.tables.RestoreShardDelta(s, sh.Table, sh.Removed); err != nil {
 				return fmt.Errorf("core: restore %s: %w", path, err)
 			}
-			err := l.deltaStore.ApplyShardDelta(s, store.ShardDeltaExport{
+			err := l.rawDB.ApplyShardDelta(s, store.ShardDeltaExport{
 				Flows:   sh.Store.Flows,
 				Removed: sh.Removed,
 				Journal: sh.Store.Journal,
@@ -150,11 +146,10 @@ func (l *Live) restoreLatest(dir string) error {
 		// uses, so a window deleted and re-voted within one delta
 		// interval survives.
 		for _, k := range d.RemovedWindows {
-			delete(l.shards[k.Shard(l.nShards)].windows, k)
+			l.votes.restore(k, nil)
 		}
 		for _, w := range d.Windows {
-			shard := w.Key.Shard(l.nShards)
-			l.shards[shard].windows[w.Key] = append([]int(nil), w.Votes...)
+			l.votes.restore(w.Key, w.Votes)
 		}
 	}
 	newest := chain[len(chain)-1]
@@ -166,7 +161,7 @@ func (l *Live) restoreLatest(dir string) error {
 	sum.StoreFlows = l.rawDB.FlowCount()
 	sum.JournalPending = l.rawDB.JournalLen()
 	sum.Predictions = l.rawDB.PredictionCount()
-	sum.Windows = l.windowCount()
+	sum.Windows = l.votes.count()
 	l.ckptSeq.Store(newest.Seq)
 	l.restored = sum
 	l.met.restores.Inc()
@@ -265,19 +260,9 @@ type captureScratch struct {
 	votes   []int
 }
 
-// intoExporter is the optional scratch-reusing export surface of a
-// store (DB and ShardedDB implement it); stores without it fall back
-// to plain ExportShard.
-type intoExporter interface {
-	ExportShardInto(shard int, pre store.ShardExport) store.ShardExport
-}
-
 func (l *Live) capture(delta bool, scratch *captureScratch) (*checkpoint.Snapshot, error) {
-	if l.ckptStore == nil {
-		return nil, errors.New("core: store does not support checkpointing")
-	}
-	if delta && (l.deltaStore == nil || !l.deltaTrack) {
-		return nil, errors.New("core: delta capture requires a delta-capable store with tracking enabled")
+	if delta && !l.deltaTrack {
+		return nil, errors.New("core: delta capture requires delta tracking (CheckpointDir set)")
 	}
 	if err := l.settleIngest(); err != nil {
 		return nil, err
@@ -322,18 +307,18 @@ func (l *Live) captureLocked(delta bool, scratch *captureScratch) (*checkpoint.S
 		return nil, err
 	}
 	snap := &checkpoint.Snapshot{
-		Shards:          l.nShards,
+		Shards:          l.cfg.Shards,
 		Fingerprint:     l.fingerprint,
 		FeatureWidth:    len(l.cfg.Scaler.Mean),
 		Seq:             l.ckptSeq.Add(1),
 		TakenAtUnixNano: time.Now().UnixNano(),
 		Delta:           delta,
-		ShardStates:     make([]checkpoint.ShardState, l.nShards),
+		ShardStates:     make([]checkpoint.ShardState, l.cfg.Shards),
 	}
-	for s := 0; s < l.nShards; s++ {
+	for s := 0; s < l.cfg.Shards; s++ {
 		if delta {
 			states, tableRemoved := l.tables.ExportShardDelta(s)
-			d := l.deltaStore.ExportShardDelta(s)
+			d := l.rawDB.ExportShardDelta(s)
 			snap.ShardStates[s] = checkpoint.ShardState{
 				Table: states,
 				Store: store.ShardExport{Flows: d.Flows, Journal: d.Journal, Seq: d.Seq, Preds: d.Preds},
@@ -349,53 +334,19 @@ func (l *Live) captureLocked(delta bool, scratch *captureScratch) (*checkpoint.S
 				preTable = scratch.tables[s]
 				preStore = scratch.stores[s]
 			}
-			st := checkpoint.ShardState{
+			snap.ShardStates[s] = checkpoint.ShardState{
 				Table: l.tables.ExportShardInto(s, preTable),
+				Store: l.rawDB.ExportShardInto(s, preStore),
 			}
-			if into, ok := l.ckptStore.(intoExporter); ok {
-				st.Store = into.ExportShardInto(s, preStore)
-			} else {
-				st.Store = l.ckptStore.ExportShard(s)
-			}
-			snap.ShardStates[s] = st
 		}
 	}
-	// Vote copies land in one flat slab with each Window holding a
-	// capped sub-slice — one allocation (amortized) instead of one per
-	// window, and both arrays recycle through the scratch. A mid-loop
-	// slab growth strands earlier windows on the previous backing
-	// array; that is still correct (the slices are never written
-	// again), and in steady state the recycled slab is already sized.
+	// Window and vote arrays recycle through the scratch; in steady
+	// state the recycled slab is already sized.
 	wins, votes := snap.Windows, []int(nil)
 	if !delta && scratch != nil {
 		wins, votes = scratch.windows[:0], scratch.votes[:0]
 	}
-	for _, sh := range l.shards {
-		sh.mu.Lock()
-		if delta {
-			for k := range sh.dirty {
-				if w, ok := sh.windows[k]; ok {
-					off := len(votes)
-					votes = append(votes, w...)
-					wins = append(wins, checkpoint.Window{Key: k, Votes: votes[off:len(votes):len(votes)]})
-				}
-			}
-			for k := range sh.removed {
-				snap.RemovedWindows = append(snap.RemovedWindows, k)
-			}
-		} else {
-			for k, w := range sh.windows {
-				off := len(votes)
-				votes = append(votes, w...)
-				wins = append(wins, checkpoint.Window{Key: k, Votes: votes[off:len(votes):len(votes)]})
-			}
-		}
-		if l.deltaTrack {
-			sh.dirty = make(map[flow.Key]struct{})
-			sh.removed = make(map[flow.Key]struct{})
-		}
-		sh.mu.Unlock()
-	}
+	wins, snap.RemovedWindows, votes = l.votes.export(delta, wins, votes)
 	snap.Windows = wins
 	if scratch != nil {
 		// The slab's base is unrecoverable from the capped sub-slices
@@ -545,4 +496,56 @@ func (l *Live) checkpointer() {
 			l.WriteCheckpoint()
 		}
 	}
+}
+
+// export appends every window (delta: only those voted into since the
+// previous export) to wins, with the votes copied into the slab votes,
+// lists the windows dropped since the previous export (delta only),
+// and resets the delta marks. Vote copies land in one flat slab with
+// each Window holding a capped sub-slice — one allocation (amortized)
+// instead of one per window. A mid-loop slab growth strands earlier
+// windows on the previous backing array; that is still correct (the
+// slices are never written again). Callers hold the capture barrier.
+func (v *voteWindows) export(delta bool, wins []checkpoint.Window, votes []int) ([]checkpoint.Window, []flow.Key, []int) {
+	var removed []flow.Key
+	for s := range v.shards {
+		sh := &v.shards[s]
+		sh.mu.Lock()
+		if delta {
+			for k := range sh.dirty {
+				if w, ok := sh.windows[k]; ok {
+					off := len(votes)
+					votes = append(votes, w...)
+					wins = append(wins, checkpoint.Window{Key: k, Votes: votes[off:len(votes):len(votes)]})
+				}
+			}
+			for k := range sh.removed {
+				removed = append(removed, k)
+			}
+		} else {
+			for k, w := range sh.windows {
+				off := len(votes)
+				votes = append(votes, w...)
+				wins = append(wins, checkpoint.Window{Key: k, Votes: votes[off:len(votes):len(votes)]})
+			}
+		}
+		if v.track {
+			sh.dirty = make(map[flow.Key]struct{})
+			sh.removed = make(map[flow.Key]struct{})
+		}
+		sh.mu.Unlock()
+	}
+	return wins, removed, votes
+}
+
+// restore sets key's window to a copy of votes (nil deletes it)
+// without touching the delta marks. Restore runs before any concurrent
+// use.
+func (v *voteWindows) restore(key flow.Key, votes []int) {
+	sh := v.shard(key)
+	if votes == nil {
+		delete(sh.windows, key)
+		return
+	}
+	sh.windows[key] = append([]int(nil), votes...)
 }

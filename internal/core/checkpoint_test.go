@@ -574,12 +574,14 @@ func TestEncodeOutsideBarrier(t *testing.T) {
 	hookRan := false
 	l.ckptPostCapture = func(*checkpoint.Snapshot) {
 		hookRan = true
+		// The capture holds the barrier's write side; a read probe
+		// fails only then (running pollers share the read side).
 		for s := range l.ckptMu {
-			if !l.ckptMu[s].TryLock() {
+			if !l.ckptMu[s].TryRLock() {
 				t.Errorf("shard %d barrier still held when encoding began", s)
 				continue
 			}
-			l.ckptMu[s].Unlock()
+			l.ckptMu[s].RUnlock()
 		}
 	}
 	if _, _, err := l.WriteCheckpoint(); err != nil {
@@ -700,7 +702,7 @@ func TestSweepBoundsStoreFlowCount(t *testing.T) {
 		if got := l.tables.Len(); got != 0 {
 			t.Fatalf("wave %d: table kept %d records", w, got)
 		}
-		if got := l.windowCount(); got != 0 {
+		if got := l.votes.count(); got != 0 {
 			t.Fatalf("wave %d: %d vote windows leaked", w, got)
 		}
 	}
@@ -726,14 +728,14 @@ func TestMechanismSweepDeletesStoreRecords(t *testing.T) {
 	if m.DB.FlowCount() != 50 {
 		t.Fatalf("store holds %d flows", m.DB.FlowCount())
 	}
-	m.windows[simObs(3000, 10, 40, true, "synflood").Key] = []int{1, 1}
+	m.votes.vote(simObs(3000, 10, 40, true, "synflood").Key, 1)
 	if n := m.Table.Sweep(500); n != 50 {
 		t.Fatalf("swept %d, want 50", n)
 	}
 	if m.DB.FlowCount() != 0 {
 		t.Errorf("store leaked %d records after sweep", m.DB.FlowCount())
 	}
-	if len(m.windows) != 0 {
-		t.Errorf("%d vote windows leaked", len(m.windows))
+	if n := m.votes.count(); n != 0 {
+		t.Errorf("%d vote windows leaked", n)
 	}
 }

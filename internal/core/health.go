@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/amlight/intddos/internal/ml"
 	"github.com/amlight/intddos/internal/obs"
 )
 
@@ -120,11 +119,6 @@ type healthTracker struct {
 
 const healthLogCap = 32
 
-// VoteAbsent marks a model that produced no vote for a record — it
-// was unhealthy or its scoring call failed — in Decision.Votes. The
-// quorum never counts absent votes.
-const VoteAbsent = -1
-
 // Health returns the pipeline's current aggregate state.
 func (l *Live) Health() HealthState { return HealthState(l.health.state.Load()) }
 
@@ -205,7 +199,7 @@ func (l *Live) queueOccupancy() float64 {
 // unhealthyModels counts ensemble members currently out of the vote.
 func (l *Live) unhealthyModels() int {
 	n := 0
-	for _, mh := range l.modelHealth {
+	for _, mh := range l.sc.health {
 		if bad, _ := mh.snapshot(); bad {
 			n++
 		}
@@ -219,7 +213,7 @@ func (l *Live) healthReport() obs.Health {
 	st := l.Health()
 	detail := []string{
 		fmt.Sprintf("shards=%d workers=%d workers_down=%d worker_restarts=%d",
-			l.nShards, l.cfg.Workers, l.workersDown.Load(), l.WorkerRestarts.Load()),
+			l.cfg.Shards, l.cfg.Workers, l.workersDown.Load(), l.WorkerRestarts.Load()),
 		fmt.Sprintf("polled=%d decided=%d shed=%d abandoned=%d store_retries=%d store_dropped=%d",
 			l.Polled.Load(), l.DecisionCount(), l.Shed.Load(), l.Abandoned.Load(),
 			l.StoreRetries.Load(), l.StoreDropped.Load()),
@@ -233,7 +227,7 @@ func (l *Live) healthReport() obs.Health {
 		}
 		detail = append(detail, line)
 	}
-	for _, mh := range l.modelHealth {
+	for _, mh := range l.sc.health {
 		bad, fails := mh.snapshot()
 		state := obs.StateHealthy
 		if bad {
@@ -268,86 +262,4 @@ func (l *Live) HealthTransitions() []string {
 		out = out[len(out)-healthLogCap:]
 	}
 	return out
-}
-
-// scoreBatch runs the ensemble over the standardized batch with
-// per-model fault isolation: each member scores through
-// ml.TryPredictBatch (panic-contained, fallible path when wrapped);
-// a member that fails or is marked unhealthy contributes VoteAbsent
-// for every row and the member's health state machine advances.
-// navail is how many members actually voted. With every member
-// healthy the result is element-for-element identical to
-// ml.EnsembleVotes — the fault-free path changes nothing. The outer
-// votes header and the ones buffer are recycled from the worker's
-// scratch across batches; only the flat per-row vote storage is
-// allocated per call, because the rows are retained in Decisions.
-func (l *Live) scoreBatch(s *batchScratch, X [][]float64) (votes [][]int, ones []int, navail int) {
-	models := l.cfg.Models
-	if cap(s.votes) < len(X) {
-		s.votes = make([][]int, len(X))
-	}
-	if cap(s.ones) < len(X) {
-		s.ones = make([]int, len(X))
-	}
-	votes = s.votes[:len(X)]
-	ones = s.ones[:len(X)]
-	for i := range ones {
-		ones[i] = 0
-	}
-	flat := make([]int, len(X)*len(models))
-	for i := range votes {
-		votes[i] = flat[i*len(models) : (i+1)*len(models) : (i+1)*len(models)]
-	}
-	now := time.Now()
-	for mi, m := range models {
-		mh := l.modelHealth[mi]
-		if !mh.available(now, l.cfg.ModelProbeAfter) {
-			markAbsent(votes, mi)
-			continue
-		}
-		labels, err := ml.TryPredictBatch(m, X)
-		if err == nil && len(labels) != len(X) {
-			err = fmt.Errorf("core: model %s returned %d labels for %d rows", mh.name, len(labels), len(X))
-		}
-		if err != nil {
-			l.ModelFailures.Add(1)
-			l.met.modelFailures.With(mh.name).Inc()
-			if mh.markFailure(now, l.cfg.ModelFailThreshold) {
-				l.met.modelHealthy.With(mh.name).Set(0)
-			}
-			l.noteDegraded("model " + mh.name + " failed")
-			markAbsent(votes, mi)
-			continue
-		}
-		if mh.markSuccess() {
-			l.met.modelHealthy.With(mh.name).Set(1)
-			l.event("model recovered", "component", "health", "model", mh.name)
-		}
-		navail++
-		for i, lab := range labels {
-			votes[i][mi] = lab
-			ones[i] += lab
-		}
-	}
-	return votes, ones, navail
-}
-
-// markAbsent fills one model's column with VoteAbsent.
-func markAbsent(votes [][]int, mi int) {
-	for i := range votes {
-		votes[i][mi] = VoteAbsent
-	}
-}
-
-// effectiveQuorum returns the attack-vote threshold for a batch
-// scored by navail of the configured members. At full strength it is
-// the configured quorum (the paper's 2-of-3); with members out it
-// degrades to majority-of-available — 2-of-2, 1-of-1 — so detection
-// keeps producing best-effort answers instead of silently requiring
-// votes that can no longer arrive.
-func (l *Live) effectiveQuorum(navail int) int {
-	if navail >= len(l.cfg.Models) {
-		return l.cfg.ModelQuorum
-	}
-	return navail/2 + 1
 }

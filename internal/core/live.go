@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"log/slog"
 	"strconv"
@@ -14,7 +13,6 @@ import (
 	"github.com/amlight/intddos/internal/fault"
 	"github.com/amlight/intddos/internal/flow"
 	"github.com/amlight/intddos/internal/ml"
-	"github.com/amlight/intddos/internal/ml/sketch"
 	"github.com/amlight/intddos/internal/netsim"
 	"github.com/amlight/intddos/internal/obs"
 	"github.com/amlight/intddos/internal/obs/prof"
@@ -58,11 +56,9 @@ type LiveConfig struct {
 	// intddos_ingest_dropped_total.
 	IngestQueueCap int
 
-	// Shards stripes the flow table, the database journal, and the
-	// dispatch to prediction workers by flow.Key hash. Zero selects
-	// the legacy single-lock store.DB (the paper's one-database
-	// layout); n >= 1 selects a store.ShardedDB with n shards, which
-	// at n=1 is observably identical to the legacy layout.
+	// Shards stripes the flow table, the database journal, the vote
+	// windows, and the dispatch to prediction workers by flow.Key hash
+	// (default 1, the paper's one-database layout).
 	Shards int
 
 	// PredictBatch caps the micro-batch a prediction worker drains
@@ -71,13 +67,9 @@ type LiveConfig struct {
 	// amortized call instead of one record per wakeup. The batch
 	// contract makes results row-for-row identical to per-record
 	// scoring, so this only trades per-record overhead for batching.
-	// Zero or one keeps the paper's record-at-a-time behavior.
+	// Zero or one keeps the paper's record-at-a-time behavior; batches
+	// only form from backlog, a worker never waits to fill one.
 	PredictBatch int
-	// PredictLinger is how long a worker with an unfilled micro-batch
-	// waits for more records before scoring what it has (default 0:
-	// score immediately — batches only form from backlog). Lingering
-	// trades per-record latency for larger batches under load.
-	PredictLinger time.Duration
 
 	// Triage enables tiered inference: per-shard streaming sketches
 	// (count-min heavy hitter + flow-key entropy) over the ingest
@@ -101,7 +93,7 @@ type LiveConfig struct {
 	// ModelQuorum and VoteWindow mirror the simulated mechanism
 	// (defaults 2-of-ensemble and 3). When ensemble members are
 	// marked unhealthy the quorum degrades to majority-of-available;
-	// see effectiveQuorum.
+	// see scorer.score.
 	ModelQuorum int
 	VoteWindow  int
 	// SkipNewRecords restricts prediction to record updates (§III-3
@@ -381,27 +373,12 @@ type workerBatch struct {
 	done  int
 }
 
-// liveShard is the per-shard mutable state of the runtime: the vote
-// windows of the flows hashed onto the shard. The flow-table stripe
-// lives in the ShardedTable and the journal stripe in the Store, both
-// indexed by the same Key.Shard value.
-//
-// dirty and removed are the windows' delta-checkpoint marks,
-// maintained only while the runtime tracks deltas (CheckpointDir
-// set): windows voted into since the last capture, and windows
-// deleted since it. A key lives in at most one set — the last action
-// wins. Guarded by mu, like the windows they describe.
-type liveShard struct {
-	mu      sync.Mutex
-	windows map[flow.Key][]int
-	dirty   map[flow.Key]struct{}
-	removed map[flow.Key]struct{}
-}
-
 // Live runs the four Figure 2 modules as concurrent goroutines over
 // the wall clock — the deployment mode of the paper's production
-// implementation — sharing the same flow table, database, and voting
-// logic as the simulated Mechanism. Timestamps are wall-clock
+// implementation — sharing the same flow table, database, Prediction
+// module (scorer), and window vote as the simulated Mechanism; Live
+// itself is the goroutine shell: metrics, journeys, tracing, and the
+// abandon/taint accounting. Timestamps are wall-clock
 // nanoseconds widened into the same Time domain the rest of the
 // repository uses.
 //
@@ -410,8 +387,7 @@ type liveShard struct {
 // goroutine, and shards map to prediction workers round-robin, so
 // every update of one flow flows through one lock stripe, one
 // journal, one poller, and one worker — per-flow prediction order is
-// preserved at any worker count. With Shards=0 (the default) the
-// layout degenerates to the legacy single-lock pipeline.
+// preserved at any worker count.
 //
 // The runtime is supervised: prediction workers recover from panics
 // and are restarted with exponential backoff under a restart budget,
@@ -422,19 +398,17 @@ type liveShard struct {
 // The aggregate condition (healthy/degraded/shedding) is reported on
 // /healthz.
 type Live struct {
-	cfg     LiveConfig
-	nShards int
+	cfg LiveConfig
 
 	tables *flow.ShardedTable
-	shards []*liveShard
 
-	// Tiered inference (nil when LiveConfig.Triage is off): the
-	// early-exit cascade shared read-only by every prediction worker,
-	// and one triage sketch per shard — single writer (the shard's
-	// ingester, under the shard's checkpoint-barrier read lock),
-	// concurrent readers (workers), atomics throughout.
-	cascade  *ml.Cascade
-	sketches []*sketch.Sketch
+	// sc is the Prediction module shared by every worker. Its per-shard
+	// triage sketches (triage on) have a single writer — the shard's
+	// ingester, under the shard's checkpoint-barrier read lock — and
+	// concurrent readers (workers), atomics throughout. votes holds the
+	// per-shard vote windows.
+	sc    *scorer
+	votes *voteWindows
 
 	DB  store.Store
 	fdb store.Fallible // non-nil when DB surfaces transient errors
@@ -446,24 +420,20 @@ type Live struct {
 	// every lock in ascending shard order (all-read and all-write
 	// respectively — the fixed order keeps the set acyclic), wait for
 	// in-flight records to settle, and export a consistent cut.
-	// rawDB/ckptStore reference the concrete store beneath any fault
-	// wrapper — a checkpoint must read real state, not a fault-shaped
-	// view of it.
+	// rawDB is the concrete store beneath any fault wrapper — a
+	// checkpoint must read real state, not a fault-shaped view of it.
 	ckptMu      []sync.RWMutex
-	ckptStore   store.Checkpointable
-	rawDB       store.Store
+	rawDB       *store.ShardedDB
 	ckptSeq     atomic.Uint64
 	fingerprint uint64
 	restored    *RestoreSummary
 	completed   atomic.Int64 // records fully finished (decision + prediction logged)
 
-	// Incremental checkpointing. deltaStore is the concrete store's
-	// delta surface (non-nil for DB/ShardedDB); deltaTrack reports that
-	// dirty tracking is live across the table, store, and window layers
-	// (set once in NewLive when CheckpointDir is configured, before any
-	// concurrent use). lastBarrierNs is the most recent capture's
-	// barrier hold, for the bench and /metrics.
-	deltaStore    store.DeltaCheckpointable
+	// Incremental checkpointing. deltaTrack reports that dirty tracking
+	// is live across the table, store, and window layers (set once in
+	// NewLive when CheckpointDir is configured, before any concurrent
+	// use). lastBarrierNs is the most recent capture's barrier hold,
+	// for the bench and /metrics.
 	deltaTrack    bool
 	lastBarrierNs atomic.Int64
 
@@ -537,7 +507,6 @@ type Live struct {
 	lastShedEvent atomic.Int64 // unix second of the last shed event (throttle)
 
 	health      healthTracker
-	modelHealth []*modelHealth
 	workersDown atomic.Int32
 
 	decMu     sync.Mutex
@@ -576,11 +545,14 @@ type Live struct {
 
 // NewLive validates cfg and builds the runtime.
 func NewLive(cfg LiveConfig) (*Live, error) {
-	if len(cfg.Models) == 0 {
-		return nil, errors.New("core: no models configured")
-	}
-	if cfg.Scaler == nil {
-		return nil, errors.New("core: scaler required")
+	// The triage model is resolved before fault wrapping: the cascade
+	// needs the model's probability path, which fault wrappers do not
+	// expose. Triage is a performance tier, not a fault surface —
+	// fall-through rows still score through the wrapped ensemble.
+	cascade, err := resolvePrediction(cfg.Models, cfg.Scaler, &cfg.ModelQuorum, &cfg.VoteWindow,
+		cfg.Triage, cfg.TriageThreshold, cfg.TriageModel)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Features == nil {
 		cfg.Features = flow.INTFeatures()
@@ -600,20 +572,9 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	if cfg.IngestQueueCap <= 0 {
 		cfg.IngestQueueCap = 1024
 	}
-	if cfg.Shards < 0 {
-		cfg.Shards = 0
-	}
+	cfg.Shards = max(1, cfg.Shards)
 	if cfg.PredictBatch < 1 {
 		cfg.PredictBatch = 1
-	}
-	if cfg.ModelQuorum <= 0 {
-		cfg.ModelQuorum = (len(cfg.Models) + 2) / 2
-	}
-	if cfg.ModelQuorum > len(cfg.Models) {
-		cfg.ModelQuorum = (len(cfg.Models) + 1) / 2
-	}
-	if cfg.VoteWindow <= 0 {
-		cfg.VoteWindow = 3
 	}
 	if cfg.SweepInterval <= 0 {
 		cfg.SweepInterval = cfg.FlowIdleTimeout
@@ -651,37 +612,10 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
 	}
-	// A model that reports its trained input width must agree with
-	// the scaler — a mismatched bundle would otherwise panic a worker
-	// at the first scoring call.
-	for _, m := range cfg.Models {
-		if w := ml.ExpectedFeatures(m); w > 0 && w != len(cfg.Scaler.Mean) {
-			return nil, fmt.Errorf("core: model %s expects %d features, scaler has %d",
-				m.Name(), w, len(cfg.Scaler.Mean))
-		}
-	}
 	// The bundle fingerprint is computed over the caller's models
 	// before fault wrapping (WrapModel preserves Name(), but the
 	// fingerprint should describe the bundle, not the harness).
 	fingerprint := bundleFingerprint(cfg.Models, cfg.Scaler, cfg.Features)
-	// The triage model is resolved before fault wrapping too: the
-	// cascade needs the model's probability path, which fault wrappers
-	// do not expose. Triage is a performance tier, not a fault surface
-	// — fall-through rows still score through the wrapped ensemble.
-	var cascade *ml.Cascade
-	if cfg.Triage {
-		pm, ok := resolveTriageModel(cfg.TriageModel, cfg.Models)
-		if !ok {
-			return nil, errors.New("core: triage enabled but no probability-capable model available")
-		}
-		if w := ml.ExpectedFeatures(pm); w > 0 && w != len(cfg.Scaler.Mean) {
-			return nil, fmt.Errorf("core: triage model %s expects %d features, scaler has %d",
-				pm.Name(), w, len(cfg.Scaler.Mean))
-		}
-		cascade = &ml.Cascade{Stages: []ml.CascadeStage{
-			{Name: pm.Name(), Model: pm, Threshold: cfg.TriageThreshold},
-		}}
-	}
 	// The ensemble is scored through each model's fallible path; with
 	// an injector configured the models are wrapped so scheduled
 	// scoring failures and latency can fire. The slice is copied —
@@ -696,32 +630,20 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	cfg.Models = models
 
 	nShards := cfg.Shards
-	if nShards < 1 {
-		nShards = 1
-	}
-	var db store.Store
-	if cfg.Shards == 0 {
-		db = store.New() // the paper's exact single-lock layout
-	} else {
-		db = store.NewSharded(cfg.Shards)
-	}
-	// Capture the concrete store before any fault wrapping: the
+	// Keep the concrete store beneath any fault wrapping: the
 	// checkpoint path exports and imports the real state directly.
-	rawDB := db
-	ckptStore, _ := db.(store.Checkpointable)
-	deltaStore, _ := db.(store.DeltaCheckpointable)
+	rawDB := store.NewSharded(nShards)
+	var db store.Store = rawDB
 	if cfg.Fault != nil && cfg.Fault.Spec().HasStoreFaults() {
 		db = fault.WrapStore(db, cfg.Fault)
 	}
 	l := &Live{
 		cfg:         cfg,
-		nShards:     nShards,
 		tables:      flow.NewShardedTable(nShards),
-		shards:      make([]*liveShard, nShards),
+		sc:          newScorer(models, cfg.Scaler, cfg.ModelQuorum, cascade, nShards),
+		votes:       newVoteWindows(nShards, cfg.VoteWindow),
 		DB:          db,
 		rawDB:       rawDB,
-		ckptStore:   ckptStore,
-		deltaStore:  deltaStore,
 		fingerprint: fingerprint,
 		ckptMu:      make([]sync.RWMutex, nShards),
 		ingestQuit:  make(chan struct{}),
@@ -731,20 +653,6 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	l.fdb, _ = db.(store.Fallible)
 	if cfg.DedupWindow > 0 {
 		l.dedup = telemetry.NewSeqTracker(cfg.DedupWindow, cfg.DedupMaxSources)
-	}
-	for i := range l.shards {
-		l.shards[i] = &liveShard{
-			windows: make(map[flow.Key][]int),
-			dirty:   make(map[flow.Key]struct{}),
-			removed: make(map[flow.Key]struct{}),
-		}
-	}
-	if cascade != nil {
-		l.cascade = cascade
-		l.sketches = make([]*sketch.Sketch, nShards)
-		for i := range l.sketches {
-			l.sketches[i] = sketch.New(0, 0)
-		}
 	}
 	l.ingestChs = make([]chan flow.PacketInfo, nShards)
 	for i := range l.ingestChs {
@@ -778,19 +686,11 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	obs.RegisterRuntimeMetrics(l.reg)
 	l.tables.SetContentionHook(l.reg.Counter("intddos_flow_table_contention_total").Inc)
 	l.workerBusy = make([]atomic.Int64, cfg.Workers)
-	l.modelHealth = make([]*modelHealth, len(cfg.Models))
-	for i, m := range cfg.Models {
-		name := m.Name()
-		// Two members with one name would share fault targeting and
-		// health reporting; disambiguate by position.
-		for j := 0; j < i; j++ {
-			if l.modelHealth[j].name == name {
-				name = name + "#" + strconv.Itoa(i)
-				break
-			}
-		}
-		l.modelHealth[i] = &modelHealth{name: name}
-		l.met.modelHealthy.With(name).Set(1)
+	l.sc.failThreshold, l.sc.probeAfter = cfg.ModelFailThreshold, cfg.ModelProbeAfter
+	l.sc.triageLatency = l.met.triageLatency
+	l.sc.onModel = l.onModel
+	for _, mh := range l.sc.health {
+		l.met.modelHealthy.With(mh.name).Set(1)
 	}
 	if cfg.TraceSampleEvery >= 0 {
 		l.tracer = l.reg.Tracer("intddos_pipeline", cfg.TraceSampleEvery, 64)
@@ -852,18 +752,18 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	// toward 1 means the count-min counters are filling up (widen the
 	// sketch or shorten its life), entropy collapsing toward 0 means
 	// the shard's key distribution has — the triage veto is active.
-	if l.sketches != nil {
+	if l.sc.sketches != nil {
 		occVec := l.reg.GaugeVec("intddos_sketch_occupancy", "shard")
 		entVec := l.reg.GaugeVec("intddos_sketch_entropy", "shard")
-		for s := range l.sketches {
-			sk := l.sketches[s]
+		for s := range l.sc.sketches {
+			sk := l.sc.sketches[s]
 			ss := strconv.Itoa(s)
 			occVec.WithFunc(ss, sk.Occupancy)
 			entVec.WithFunc(ss, sk.Entropy)
 		}
 	}
-	l.reg.GaugeFunc("intddos_vote_windows", func() float64 { return float64(l.windowCount()) })
-	l.reg.GaugeFunc("intddos_pipeline_shards", func() float64 { return float64(l.nShards) })
+	l.reg.GaugeFunc("intddos_vote_windows", func() float64 { return float64(l.votes.count()) })
+	l.reg.GaugeFunc("intddos_pipeline_shards", func() float64 { return float64(l.cfg.Shards) })
 	l.reg.GaugeFunc("intddos_health_state", func() float64 { return float64(l.Health()) })
 	l.reg.GaugeFunc("intddos_workers_down", func() float64 { return float64(l.workersDown.Load()) })
 	if cfg.Fault != nil {
@@ -879,17 +779,13 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	})
 	l.DB.Instrument(l.reg)
 	if cfg.CheckpointDir != "" {
-		if ckptStore == nil {
-			return nil, errors.New("core: CheckpointDir set but store does not support checkpointing")
-		}
 		// Dirty tracking goes live before the restore and before any
 		// concurrent use: restore resets the marks it touches, and every
 		// layer's hot path reads its track flag without synchronization.
-		if deltaStore != nil {
-			l.deltaTrack = true
-			deltaStore.SetDeltaTracking(true)
-			l.tables.SetDeltaTracking(true)
-		}
+		l.deltaTrack = true
+		l.votes.track = true
+		rawDB.SetDeltaTracking(true)
+		l.tables.SetDeltaTracking(true)
 		if err := l.restoreLatest(cfg.CheckpointDir); err != nil {
 			return nil, err
 		}
@@ -908,7 +804,7 @@ func (l *Live) Obs() *obs.Registry { return l.reg }
 func (l *Live) MetricsSnapshot() obs.Snapshot { return l.reg.Snapshot() }
 
 // Shards returns the pipeline's stripe count.
-func (l *Live) Shards() int { return l.nShards }
+func (l *Live) Shards() int { return l.cfg.Shards }
 
 // now returns the wall clock in the repository's Time domain.
 func now() netsim.Time { return netsim.Time(time.Now().UnixNano()) }
@@ -919,8 +815,8 @@ func now() netsim.Time { return netsim.Time(time.Now().UnixNano()) }
 func (l *Live) Start() {
 	l.startProfiler()
 	l.event("pipeline started", "component", "lifecycle",
-		"shards", l.nShards, "workers", l.cfg.Workers)
-	for s := 0; s < l.nShards; s++ {
+		"shards", l.cfg.Shards, "workers", l.cfg.Workers)
+	for s := 0; s < l.cfg.Shards; s++ {
 		l.ingestWg.Add(1)
 		go l.ingester(s)
 		l.pollWg.Add(1)
@@ -1052,14 +948,14 @@ func (l *Live) describeConfig() string {
 		models[i] = m.Name()
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "shards=%d\nworkers=%d\n", l.nShards, cfg.Workers)
+	fmt.Fprintf(&b, "shards=%d\nworkers=%d\n", l.cfg.Shards, cfg.Workers)
 	fmt.Fprintf(&b, "models=%s\nquorum=%d\nvote_window=%d\n", strings.Join(models, ","), cfg.ModelQuorum, cfg.VoteWindow)
 	fmt.Fprintf(&b, "features=%d\n", len(cfg.Scaler.Mean))
 	fmt.Fprintf(&b, "poll_interval=%s\npoll_batch=%d\nqueue_cap=%d\ningest_queue_cap=%d\n", cfg.PollInterval, cfg.PollBatch, cfg.QueueCap, cfg.IngestQueueCap)
-	fmt.Fprintf(&b, "predict_batch=%d\npredict_linger=%s\n", cfg.PredictBatch, cfg.PredictLinger)
+	fmt.Fprintf(&b, "predict_batch=%d\n", cfg.PredictBatch)
 	triageModel := ""
-	if l.cascade != nil && len(l.cascade.Stages) > 0 {
-		triageModel = l.cascade.Stages[0].Name
+	if c := l.sc.cascade; c != nil {
+		triageModel = c.Stages[0].Name
 	}
 	fmt.Fprintf(&b, "triage=%t\ntriage_threshold=%g\ntriage_model=%s\n", cfg.Triage, cfg.TriageThreshold, triageModel)
 	fmt.Fprintf(&b, "skip_new_records=%t\ndrain_on_stop=%t\n", cfg.SkipNewRecords, cfg.DrainOnStop)
@@ -1164,7 +1060,7 @@ func (l *Live) IngestAsync(pi flow.PacketInfo) {
 		pi.At = now()
 	}
 	select {
-	case l.ingestChs[pi.Key.Shard(l.nShards)] <- pi:
+	case l.ingestChs[pi.Key.Shard(l.cfg.Shards)] <- pi:
 		l.ingestAccepted.Add(1)
 	case <-l.ingestQuit:
 		l.met.ingestDropped.Inc()
@@ -1216,7 +1112,7 @@ func (l *Live) Ingest(pi flow.PacketInfo) {
 	// the read lock means the shard's ingest stalled behind the
 	// barrier — counted, because from the outside it is
 	// indistinguishable from slow ingest.
-	shard := pi.Key.Shard(l.nShards)
+	shard := pi.Key.Shard(l.cfg.Shards)
 	bar := &l.ckptMu[shard]
 	if !bar.TryRLock() {
 		l.met.ingestStalls.Inc()
@@ -1230,8 +1126,8 @@ func (l *Live) Ingest(pi flow.PacketInfo) {
 	// Triage sketch: fed on the ingest path, under the shard barrier,
 	// so a checkpoint capture (which holds every barrier for write)
 	// never races an update — the sketch is quiescent at the cut.
-	if l.sketches != nil {
-		l.sketches[shard].Update(pi.Key.Hash())
+	if l.sc.sketches != nil {
+		l.sc.sketches[shard].Update(pi.Key.Hash())
 	}
 	var (
 		feats   []float64
@@ -1325,17 +1221,6 @@ func (l *Live) taintKey(key flow.Key) {
 	}
 }
 
-// windowCount sums live vote windows across shards.
-func (l *Live) windowCount() int {
-	n := 0
-	for _, sh := range l.shards {
-		sh.mu.Lock()
-		n += len(sh.windows)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // workerFor maps a shard to its prediction worker's channel. The
 // static shard→worker assignment (round-robin) is what gives workers
 // shard affinity: one flow is always predicted by one worker.
@@ -1382,7 +1267,10 @@ func (l *Live) shardPoller(shard int) {
 				updated := time.Unix(0, int64(rec.UpdatedAt))
 				l.met.stageJournal.ObserveDuration(polled.Sub(updated))
 				l.jHop(rec.Key, rec.Updates, "poll")
-				tr := l.tracer.Sample(rec.Key.String())
+				tr := l.tracer.Sample()
+				if tr != nil {
+					tr.Flow = rec.Key.String()
+				}
 				tr.StageAt("journal_wait", updated, polled)
 				select {
 				case ch <- queued{rec: rec, enqueuedAt: polled, tr: tr}:
@@ -1452,16 +1340,7 @@ func (l *Live) sweeper() {
 // those locks and then the table's, so the order is acyclic).
 func (l *Live) onEvict(key flow.Key) {
 	l.DB.DeleteFlow(key)
-	sh := l.shards[key.Shard(l.nShards)]
-	sh.mu.Lock()
-	if _, ok := sh.windows[key]; ok {
-		delete(sh.windows, key)
-		if l.deltaTrack {
-			sh.removed[key] = struct{}{}
-			delete(sh.dirty, key)
-		}
-	}
-	sh.mu.Unlock()
+	l.votes.drop(key)
 }
 
 // sweep evicts flows idle past FlowIdleTimeout. The table sweep fires
@@ -1482,57 +1361,12 @@ func (l *Live) sweep() {
 		}
 	}()
 	evicted := l.tables.Sweep(now())
-	// Orphan pass: collect keys under the window lock, probe the table
-	// without holding it (the eviction hook locks window under table;
-	// nesting the other way here would deadlock).
-	for _, sh := range l.shards {
-		sh.mu.Lock()
-		keys := make([]flow.Key, 0, len(sh.windows))
-		for key := range sh.windows {
-			keys = append(keys, key)
-		}
-		sh.mu.Unlock()
-		for _, key := range keys {
-			if !l.tables.Get(key, nil) {
-				sh.mu.Lock()
-				if _, ok := sh.windows[key]; ok {
-					delete(sh.windows, key)
-					if l.deltaTrack {
-						sh.removed[key] = struct{}{}
-						delete(sh.dirty, key)
-					}
-				}
-				sh.mu.Unlock()
-			}
-		}
-	}
+	l.votes.sweep(func(key flow.Key) bool { return l.tables.Get(key, nil) })
 	l.Evictions.Add(int64(evicted))
 	l.met.evictions.Add(int64(evicted))
 	if evicted > 0 {
 		l.event("flows evicted", "component", "sweep", "evicted", evicted)
 	}
-}
-
-// batchScratch is a prediction worker's reusable scoring buffers: the
-// feature-row view of the current micro-batch, the standardized rows
-// the ensemble reads, the vote buffers recycled across batches (only
-// the flat per-row vote storage is allocated per batch — callers
-// retain those rows in Decisions), and the triage-path buffers. One
-// worker owns one scratch, so batch calls never allocate row storage
-// after warm-up.
-type batchScratch struct {
-	rows   [][]float64
-	scaled [][]float64
-
-	// scoreBatch buffers (reused headers; see ml.EnsembleVotesInto
-	// for the retention rationale).
-	votes [][]int
-	ones  []int
-
-	// Tiered-inference buffers.
-	cs  ml.CascadeScratch
-	sus []bool
-	sub [][]float64
 }
 
 // superviseWorker owns one prediction worker slot: it runs the worker
@@ -1594,7 +1428,7 @@ func (l *Live) abandonRemaining(w int) {
 func (l *Live) runWorker(w int) (clean bool) {
 	ch := l.workerChs[w]
 	maxBatch := l.cfg.PredictBatch
-	scratch := &batchScratch{}
+	scratch := &scoreScratch{}
 	var cur workerBatch
 	cur.batch = make([]queued, 0, maxBatch)
 	defer func() {
@@ -1636,11 +1470,9 @@ func (l *Live) runWorker(w int) (clean bool) {
 }
 
 // fillBatch tops up the current micro-batch from backlog already
-// queued (never blocking) and then, if configured, lingers briefly
-// for stragglers. Reports whether the channel closed while filling —
-// the batch in hand is still scored.
+// queued, never blocking. Reports whether the channel closed while
+// filling — the batch in hand is still scored.
 func (l *Live) fillBatch(cur *workerBatch, ch chan queued, maxBatch int) (closed bool) {
-drain:
 	for len(cur.batch) < maxBatch {
 		select {
 		case q, ok := <-ch:
@@ -1649,255 +1481,78 @@ drain:
 			}
 			cur.batch = append(cur.batch, q)
 		default:
-			break drain
+			return false
 		}
-	}
-	if l.cfg.PredictLinger > 0 && len(cur.batch) < maxBatch {
-		timer := time.NewTimer(l.cfg.PredictLinger)
-	linger:
-		for len(cur.batch) < maxBatch {
-			select {
-			case <-l.quit:
-				break linger
-			case q, ok := <-ch:
-				if !ok {
-					timer.Stop()
-					return true
-				}
-				cur.batch = append(cur.batch, q)
-			case <-timer.C:
-				break linger
-			}
-		}
-		timer.Stop()
 	}
 	return false
 }
 
-// predictBatch scores one micro-batch — standardization, fault-
-// isolated ensemble votes, effective quorum — and finishes every
-// record in arrival order, so the per-flow decision sequence a single
-// worker produces is independent of how records were grouped into
-// batches. Records that cannot be scored (malformed snapshot, no
-// model available) are abandoned with a reason, never lost silently.
-func (l *Live) predictBatch(b *workerBatch, s *batchScratch) {
-	// Shape guard: a snapshot whose width disagrees with the scaler
-	// would panic inside a kernel; abandon it instead.
-	want := len(l.cfg.Scaler.Mean)
-	kept := b.batch[:0]
-	for _, q := range b.batch {
-		if len(q.rec.Features) != want {
-			l.abandon(1, "malformed")
-			l.taintKey(q.rec.Key)
-			l.jAbort(q.rec.Key, q.rec.Updates, "malformed")
-			continue
-		}
-		kept = append(kept, q)
-	}
-	b.batch = kept
-	if len(b.batch) == 0 {
-		return
-	}
+// predictBatch scores one micro-batch through the Prediction module
+// and finishes every record in arrival order, so the per-flow decision
+// sequence a single worker produces is independent of how records
+// were grouped into batches and of which cascade stage decided them.
+// Records without a verdict (malformed snapshot, no model available)
+// are abandoned with a reason, never lost silently.
+func (l *Live) predictBatch(b *workerBatch, s *scoreScratch) {
 	dequeued := time.Now()
-	s.rows = s.rows[:0]
 	for _, q := range b.batch {
 		l.met.stageQueue.ObserveDuration(dequeued.Sub(q.enqueuedAt))
 		q.tr.StageAt("queue_wait", q.enqueuedAt, dequeued)
 		l.jHop(q.rec.Key, q.rec.Updates, "batch")
-		s.rows = append(s.rows, q.rec.Features)
 	}
-	s.scaled = l.cfg.Scaler.TransformBatch(s.scaled, s.rows)
-	if l.cascade != nil {
-		l.triageBatch(b, s, dequeued)
-		return
-	}
-	votes, ones, navail := l.scoreBatch(s, s.scaled)
-	if navail == 0 {
-		// Every ensemble member is out: no best-effort answer exists.
-		l.abandon(int64(len(b.batch)), "no_model")
-		for _, q := range b.batch {
-			l.taintKey(q.rec.Key)
-			l.jAbort(q.rec.Key, q.rec.Updates, "no_model")
-		}
-		b.done = len(b.batch)
-		return
-	}
-	quorum := l.effectiveQuorum(navail)
-	if navail < len(l.cfg.Models) {
-		// Degraded vote: decisions still flow, at reduced fidelity.
-		l.met.degradedBatches.Inc()
-		for _, q := range b.batch {
-			l.taintKey(q.rec.Key)
-		}
-	}
-	n := len(b.batch)
-	l.Predictions.Add(int64(n))
-	l.met.predictions.Add(int64(n))
+	verdicts := l.sc.score(s, b.batch)
 	predicted := time.Now()
 	// The batch call's cost is attributed evenly to its samples: at
-	// batch size one this is the same duration the per-record path
-	// observed.
-	perSample := predicted.Sub(dequeued) / time.Duration(n)
-	l.met.batchSize.Observe(float64(n))
-	for i := range b.batch {
-		l.met.stagePredict.Observe(perSample.Seconds())
-		l.met.sampleLatency.Observe(perSample.Seconds())
-		b.batch[i].tr.StageAt("scale_predict", dequeued, predicted)
-		l.jHop(b.batch[i].rec.Key, b.batch[i].rec.Updates, "predict")
-		raw := 0
-		if ones[i] >= quorum {
-			raw = 1
-		}
-		l.finish(b.batch[i], raw, votes[i], predicted, 0)
-		b.done++
-	}
-}
-
-// triageBatch is predictBatch's tiered path: the per-shard sketches
-// veto benign exits for suspicious flows, the cascade early-exits
-// rows its stage-0 model is confident about, and only the
-// fall-through remainder pays for the fault-isolated ensemble vote.
-// Records are finished in arrival order regardless of which tier
-// decided them, so the per-flow decision sequence is identical to the
-// untiered path's — only the votes behind confident rows change.
-// With an inert cascade (threshold <= 0) every row falls through and
-// the output is bit-identical to the legacy path.
-func (l *Live) triageBatch(b *workerBatch, s *batchScratch, dequeued time.Time) {
-	triageT0 := time.Now()
-	if cap(s.sus) < len(b.batch) {
-		s.sus = make([]bool, len(b.batch))
-	}
-	sus := s.sus[:len(b.batch)]
-	for i, q := range b.batch {
-		sk := l.sketches[q.rec.Key.Shard(l.nShards)]
-		sus[i] = sk.Suspicious(q.rec.Key.Hash(),
-			triageHeavyHitterFrac, triageEntropyFloor, triageMinSample)
-	}
-	stage, tlabel := l.cascade.TriageBatch(s.scaled, sus, &s.cs)
-	l.met.triageLatency.Since(triageT0)
-
-	// Full ensemble on the fall-through remainder only, in batch
-	// order.
-	if cap(s.sub) < len(b.batch) {
-		s.sub = make([][]float64, len(b.batch))
-	}
-	sub := s.sub[:0]
-	nExit := 0
-	for i := range b.batch {
-		if stage[i] == 0 {
-			sub = append(sub, s.scaled[i])
-		} else {
-			nExit++
-		}
-	}
-	var votes [][]int
-	var ones []int
-	navail, quorum := 0, 0
-	if len(sub) > 0 {
-		votes, ones, navail = l.scoreBatch(s, sub)
-		if navail > 0 {
-			quorum = l.effectiveQuorum(navail)
-			if navail < len(l.cfg.Models) {
-				l.met.degradedBatches.Inc()
+	// batch size one this is the whole call.
+	perSample := predicted.Sub(dequeued) / time.Duration(len(b.batch))
+	l.met.batchSize.Observe(float64(len(b.batch)))
+	degraded, decided := false, 0
+	for i, v := range verdicts {
+		q := b.batch[i]
+		if v.lost != lostMalformed {
+			l.met.stagePredict.Observe(perSample.Seconds())
+			l.met.sampleLatency.Observe(perSample.Seconds())
+			q.tr.StageAt("scale_predict", dequeued, predicted)
+			l.jHop(q.rec.Key, q.rec.Updates, "predict")
+			if l.sc.cascade != nil {
+				switch {
+				case v.stage == 0:
+					l.met.triageFallthrough.Inc()
+				case v.stage == 1:
+					l.met.triageExitStage1.Inc()
+				default:
+					l.met.triageExits.With(strconv.Itoa(v.stage)).Inc()
+				}
 			}
 		}
-	}
-
-	predicted := time.Now()
-	n := len(b.batch)
-	perSample := predicted.Sub(dequeued) / time.Duration(n)
-	l.met.batchSize.Observe(float64(n))
-	// Exited rows carry their single stage-0 vote as provenance; the
-	// slices are retained in Decisions, so they get fresh storage —
-	// one flat allocation for the whole batch.
-	exitFlat := make([]int, nExit)
-	e, j := 0, 0
-	decided := 0
-	for i := range b.batch {
-		l.met.stagePredict.Observe(perSample.Seconds())
-		l.met.sampleLatency.Observe(perSample.Seconds())
-		b.batch[i].tr.StageAt("scale_predict", dequeued, predicted)
-		l.jHop(b.batch[i].rec.Key, b.batch[i].rec.Updates, "predict")
-		if st := stage[i]; st > 0 {
-			if st == 1 {
-				l.met.triageExitStage1.Inc()
-			} else {
-				l.met.triageExits.With(strconv.Itoa(st)).Inc()
-			}
-			ev := exitFlat[e : e+1 : e+1]
-			ev[0] = tlabel[i]
-			e++
-			l.finish(b.batch[i], tlabel[i], ev, predicted, st)
-			decided++
-			b.done++
-			continue
-		}
-		l.met.triageFallthrough.Inc()
-		if navail == 0 {
-			// Every ensemble member is out: no best-effort answer
-			// exists for fall-through rows. Exited rows still decide —
-			// the cascade's stage-0 model answered before the ensemble
-			// was consulted.
-			q := b.batch[i]
-			l.abandon(1, "no_model")
+		if v.lost != "" {
+			l.abandon(1, v.lost)
 			l.taintKey(q.rec.Key)
-			l.jAbort(q.rec.Key, q.rec.Updates, "no_model")
+			l.jAbort(q.rec.Key, q.rec.Updates, v.lost)
 			b.done++
 			continue
 		}
-		if navail < len(l.cfg.Models) {
-			l.taintKey(b.batch[i].rec.Key)
+		if v.degraded {
+			// Degraded vote: decisions still flow, at reduced fidelity.
+			degraded = true
+			l.taintKey(q.rec.Key)
 		}
-		raw := 0
-		if ones[j] >= quorum {
-			raw = 1
-		}
-		l.finish(b.batch[i], raw, votes[j], predicted, 0)
+		l.finish(q, v, predicted)
 		decided++
-		j++
 		b.done++
+	}
+	if degraded {
+		l.met.degradedBatches.Inc()
 	}
 	l.Predictions.Add(int64(decided))
 	l.met.predictions.Add(int64(decided))
 }
 
 // finish applies window voting on the flow's shard and logs the
-// decision. stage is the decision's cascade provenance (0 for the
-// full-ensemble path).
-func (l *Live) finish(q queued, raw int, votes []int, predicted time.Time, stage int) {
+// decision.
+func (l *Live) finish(q queued, v verdict, predicted time.Time) {
 	rec := q.rec
-	t := now()
-	sh := l.shards[rec.Key.Shard(l.nShards)]
-	sh.mu.Lock()
-	w := append(sh.windows[rec.Key], raw)
-	if len(w) > l.cfg.VoteWindow {
-		w = w[len(w)-l.cfg.VoteWindow:]
-	}
-	sh.windows[rec.Key] = w
-	if l.deltaTrack {
-		sh.dirty[rec.Key] = struct{}{}
-		delete(sh.removed, rec.Key)
-	}
-	sum := 0
-	for _, v := range w {
-		sum += v
-	}
-	sh.mu.Unlock()
-	label := 0
-	if 2*sum > len(w) {
-		label = 1
-	}
-	d := Decision{
-		Key:        rec.Key,
-		Label:      label,
-		Seq:        rec.Updates - 1,
-		At:         t,
-		Latency:    t - rec.UpdatedAt,
-		Votes:      votes,
-		Stage:      stage,
-		Truth:      rec.Truth,
-		AttackType: rec.AttackType,
-	}
+	d := newDecision(rec, v, l.votes.vote(rec.Key, v.raw), now())
 	l.decMu.Lock()
 	l.decisions = append(l.decisions, d)
 	cb := l.OnDecision
@@ -1917,10 +1572,7 @@ func (l *Live) finish(q queued, raw int, votes []int, predicted time.Time, stage
 	q.tr.StageAt("vote", predicted, voted)
 	l.tracer.Finish(q.tr)
 
-	l.DB.AppendPrediction(store.PredictionRecord{
-		Key: rec.Key, Label: label, At: t, Latency: d.Latency,
-		Votes: votes, Truth: rec.Truth, AttackType: rec.AttackType,
-	})
+	l.DB.AppendPrediction(d.prediction())
 	if cb != nil {
 		cb(d)
 	}
@@ -1930,4 +1582,20 @@ func (l *Live) finish(q queued, raw int, votes []int, predicted time.Time, stage
 	// produced.
 	l.jComplete(rec.Key, rec.Updates)
 	l.completed.Add(1)
+}
+
+// onModel is the scorer's member-health observer: failures count and
+// degrade the pipeline, transitions flip the per-model health gauge.
+func (l *Live) onModel(name string, err error, changed bool) {
+	if err == nil {
+		l.met.modelHealthy.With(name).Set(1)
+		l.event("model recovered", "component", "health", "model", name)
+		return
+	}
+	l.ModelFailures.Add(1)
+	l.met.modelFailures.With(name).Inc()
+	if changed {
+		l.met.modelHealthy.With(name).Set(0)
+	}
+	l.noteDegraded("model " + name + " failed")
 }

@@ -20,11 +20,8 @@
 package core
 
 import (
-	"errors"
-
 	"github.com/amlight/intddos/internal/flow"
 	"github.com/amlight/intddos/internal/ml"
-	"github.com/amlight/intddos/internal/ml/sketch"
 	"github.com/amlight/intddos/internal/netsim"
 	"github.com/amlight/intddos/internal/store"
 	"github.com/amlight/intddos/internal/telemetry"
@@ -83,12 +80,12 @@ type Config struct {
 	FlowIdleTimeout netsim.Time
 	SweepInterval   netsim.Time
 
-	// Shards selects the database layout: zero keeps the paper's
-	// single-lock store.DB, n >= 1 stripes the journal over a
-	// store.ShardedDB with n shards. The simulated mechanism is
-	// single-threaded either way, and the CentralServer polls the
-	// merged global journal order, so the decision stream — and Table
-	// VI — is bit-exact at every shard count.
+	// Shards stripes the database journal over a store.ShardedDB with
+	// this many shards (default 1, the paper's one database). The
+	// simulated mechanism is single-threaded either way, and the
+	// CentralServer polls the merged global journal order, so the
+	// decision stream — and Table VI — is bit-exact at every shard
+	// count.
 	Shards int
 
 	// Triage enables tiered inference: a streaming sketch over the
@@ -133,7 +130,28 @@ type Decision struct {
 // Correct reports whether the decision matches ground truth.
 func (d Decision) Correct() bool { return (d.Label == 1) == d.Truth }
 
-// Mechanism wires the four modules together on a netsim engine.
+// newDecision is the final decision on rec: label from the window
+// vote, votes and provenance from the verdict, latency measured to at.
+func newDecision(rec store.FlowRecord, v verdict, label int, at netsim.Time) Decision {
+	return Decision{
+		Key: rec.Key, Label: label, Seq: rec.Updates - 1,
+		At: at, Latency: at - rec.UpdatedAt,
+		Votes: v.votes, Stage: v.stage,
+		Truth: rec.Truth, AttackType: rec.AttackType,
+	}
+}
+
+// prediction is the decision's prediction-log record.
+func (d Decision) prediction() store.PredictionRecord {
+	return store.PredictionRecord{
+		Key: d.Key, Label: d.Label, At: d.At, Latency: d.Latency,
+		Votes: d.Votes, Truth: d.Truth, AttackType: d.AttackType,
+	}
+}
+
+// Mechanism wires the four modules together on a netsim engine: a
+// sim-clock shell around the shared Prediction module (scorer) and
+// window vote (voteWindows).
 type Mechanism struct {
 	eng *netsim.Engine
 	cfg Config
@@ -147,33 +165,16 @@ type Mechanism struct {
 	// UpsertFlow calls regardless of shard count — the invariant the
 	// Table VI golden tests pin across layouts.
 	gcursor uint64
-	queue   []store.FlowRecord
+	queue   []queued
 	busy    bool
-	windows map[flow.Key][]int
 
-	scaled [][]float64 // reusable standardization batch buffer
-	// scoredVotes/scoredRaw/scoredStages cache batch-scored results
-	// for the queue head: index 0 always corresponds to queue[0].
-	// Scoring is pure, so scoring records at batch time instead of
-	// service time changes nothing observable. scoredRaw is the raw
-	// verdict (quorum vote, or the stage-0 label for exited records)
-	// and scoredStages the cascade provenance per record.
-	scoredVotes  [][]int
-	scoredRaw    []int
-	scoredStages []int
-
-	// Tiered inference (nil/unused when Config.Triage is off): the
-	// early-exit cascade, the streaming triage sketch fed by observe,
-	// and the reusable scoring buffers behind the scored caches.
-	cascade  *ml.Cascade
-	sketch   *sketch.Sketch
-	vs       ml.VoteScratch
-	cs       ml.CascadeScratch
-	votesBuf [][]int
-	rawBuf   []int
-	stageBuf []int
-	subBuf   [][]float64
-	susBuf   []bool
+	sc      *scorer
+	votes   *voteWindows
+	scratch scoreScratch
+	// scored caches the verdicts of the queue's head block: scored[0]
+	// always belongs to queue[0]. Scoring is pure, so scoring records
+	// at batch time instead of service time changes nothing observable.
+	scored []verdict
 
 	// OnDecision observes every final decision as it is made.
 	OnDecision func(Decision)
@@ -195,11 +196,10 @@ type Mechanism struct {
 
 // New validates cfg and builds a mechanism.
 func New(eng *netsim.Engine, cfg Config) (*Mechanism, error) {
-	if len(cfg.Models) == 0 {
-		return nil, errors.New("core: no models configured")
-	}
-	if cfg.Scaler == nil {
-		return nil, errors.New("core: scaler required")
+	cascade, err := resolvePrediction(cfg.Models, cfg.Scaler, &cfg.ModelQuorum, &cfg.VoteWindow,
+		cfg.Triage, cfg.TriageThreshold, cfg.TriageModel)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Features == nil {
 		cfg.Features = flow.INTFeatures()
@@ -213,54 +213,31 @@ func New(eng *netsim.Engine, cfg Config) (*Mechanism, error) {
 	if cfg.ServiceTime <= 0 {
 		cfg.ServiceTime = netsim.Millisecond
 	}
-	if cfg.ModelQuorum <= 0 {
-		cfg.ModelQuorum = (len(cfg.Models) + 2) / 2
-	}
-	if cfg.VoteWindow <= 0 {
-		cfg.VoteWindow = 3
-	}
 	if cfg.SweepInterval <= 0 {
 		cfg.SweepInterval = cfg.FlowIdleTimeout
 	}
-	if cfg.Shards < 0 {
-		cfg.Shards = 0
-	}
+	cfg.Shards = max(1, cfg.Shards)
 	if cfg.PredictBatch < 1 {
 		cfg.PredictBatch = 1
 	}
-	var db store.Store
-	if cfg.Shards == 0 {
-		db = store.New()
-	} else {
-		db = store.NewSharded(cfg.Shards)
-	}
 	m := &Mechanism{
-		eng:     eng,
-		cfg:     cfg,
-		Table:   flow.NewTable(),
-		DB:      db,
-		windows: make(map[flow.Key][]int),
+		eng:   eng,
+		cfg:   cfg,
+		Table: flow.NewTable(),
+		DB:    store.NewSharded(cfg.Shards),
+		sc:    newScorer(cfg.Models, cfg.Scaler, cfg.ModelQuorum, cascade, 1),
+		votes: newVoteWindows(1, cfg.VoteWindow),
 	}
 	m.Table.IdleTimeout = cfg.FlowIdleTimeout
 	// Eviction is single-pass: when Sweep removes a flow, its database
 	// record and vote window go with it (the old two-pass scan left
 	// store rows behind for flows observed between the scan and the
-	// sweep). The simulation is single-threaded, so no locking.
+	// sweep).
 	m.Table.OnEvict = func(k flow.Key) {
 		m.DB.DeleteFlow(k)
-		delete(m.windows, k)
+		m.votes.drop(k)
 	}
 	m.DB.SetJournalNew(!cfg.SkipNewRecords)
-	if cfg.Triage {
-		pm, ok := resolveTriageModel(cfg.TriageModel, cfg.Models)
-		if !ok {
-			return nil, errors.New("core: triage enabled but no probability-capable model available")
-		}
-		m.cascade = &ml.Cascade{Stages: []ml.CascadeStage{
-			{Name: pm.Name(), Model: pm, Threshold: cfg.TriageThreshold},
-		}}
-		m.sketch = sketch.New(0, 0)
-	}
 	return m, nil
 }
 
@@ -289,8 +266,8 @@ func (m *Mechanism) Observe(pi flow.PacketInfo) { m.observe(pi) }
 // observe is the Data Processor ingest path: update the flow table
 // and write the feature snapshot to the database.
 func (m *Mechanism) observe(pi flow.PacketInfo) {
-	if m.sketch != nil {
-		m.sketch.Update(pi.Key.Hash())
+	if m.sc.cascade != nil {
+		m.sc.sketchFor(pi.Key).Update(pi.Key.Hash())
 	}
 	st, _ := m.Table.Observe(pi)
 	feats := st.Features(nil, m.cfg.Features)
@@ -299,9 +276,8 @@ func (m *Mechanism) observe(pi flow.PacketInfo) {
 }
 
 // pollTick is the CentralServer: fetch journal updates in global
-// ingest order — one merged stream across every shard, which for the
-// legacy single-shard DB is exactly the old single-journal poll —
-// enqueue them for prediction, re-arm.
+// ingest order (one merged stream across every shard), enqueue them
+// for prediction, re-arm.
 func (m *Mechanism) pollTick() {
 	recs, cur := m.DB.PollGlobal(m.gcursor, m.cfg.PollBatch)
 	m.gcursor = cur
@@ -310,7 +286,7 @@ func (m *Mechanism) pollTick() {
 			m.DroppedPolls++
 			continue
 		}
-		m.queue = append(m.queue, rec)
+		m.queue = append(m.queue, queued{rec: rec})
 	}
 	m.DB.TrimGlobal(cur)
 	if len(m.queue) > m.MaxQueue {
@@ -328,163 +304,35 @@ func (m *Mechanism) startService() {
 	m.eng.After(m.cfg.ServiceTime, m.completeService)
 }
 
-// scoreHead batch-scores the queue's head block through the scaler
-// and the tiered scoring path, filling the scored caches consumed one
-// record per service completion. Without triage the block goes
-// straight through the ensemble batch path; with triage the cascade
-// early-exits confident rows (under the sketch's suspicion veto) and
-// only the fall-through remainder pays for the full ensemble vote.
-func (m *Mechanism) scoreHead() {
-	k := m.cfg.PredictBatch
-	if k > len(m.queue) {
-		k = len(m.queue)
-	}
-	rows := make([][]float64, k)
-	for i := 0; i < k; i++ {
-		rows[i] = m.queue[i].Features
-	}
-	m.scaled = m.cfg.Scaler.TransformBatch(m.scaled, rows)
-	if cap(m.rawBuf) < k {
-		m.rawBuf = make([]int, k)
-	}
-	if cap(m.stageBuf) < k {
-		m.stageBuf = make([]int, k)
-	}
-	m.scoredRaw = m.rawBuf[:k]
-	m.scoredStages = m.stageBuf[:k]
-
-	if m.cascade == nil {
-		var ones []int
-		m.scoredVotes, ones = ml.EnsembleVotesInto(&m.vs, m.cfg.Models, m.scaled)
-		for i := 0; i < k; i++ {
-			m.scoredStages[i] = 0
-			raw := 0
-			if ones[i] >= m.cfg.ModelQuorum {
-				raw = 1
-			}
-			m.scoredRaw[i] = raw
-		}
-		return
-	}
-
-	// Stage-0 sketch verdict: a suspicious flow (heavy hitter, or any
-	// flow while key entropy has collapsed) is never early-exited
-	// benign.
-	if cap(m.susBuf) < k {
-		m.susBuf = make([]bool, k)
-	}
-	sus := m.susBuf[:k]
-	for i := 0; i < k; i++ {
-		sus[i] = m.sketch.Suspicious(m.queue[i].Key.Hash(),
-			triageHeavyHitterFrac, triageEntropyFloor, triageMinSample)
-	}
-	stage, tlabel := m.cascade.TriageBatch(m.scaled, sus, &m.cs)
-
-	// Full ensemble on the fall-through remainder only, preserving
-	// queue order inside the sub-batch.
-	if cap(m.subBuf) < k {
-		m.subBuf = make([][]float64, k)
-	}
-	sub := m.subBuf[:0]
-	nExit := 0
-	for i := 0; i < k; i++ {
-		if stage[i] == 0 {
-			sub = append(sub, m.scaled[i])
-		} else {
-			nExit++
-		}
-	}
-	var subVotes [][]int
-	var subOnes []int
-	if len(sub) > 0 {
-		subVotes, subOnes = ml.EnsembleVotesInto(&m.vs, m.cfg.Models, sub)
-	}
-	if cap(m.votesBuf) < k {
-		m.votesBuf = make([][]int, k)
-	}
-	m.scoredVotes = m.votesBuf[:k]
-	// Exited records carry their single stage-0 vote as provenance;
-	// the rows are retained in Decisions, so they get fresh storage.
-	exitFlat := make([]int, nExit)
-	e, j := 0, 0
-	for i := 0; i < k; i++ {
-		if stage[i] > 0 {
-			ev := exitFlat[e : e+1 : e+1]
-			ev[0] = tlabel[i]
-			e++
-			m.scoredVotes[i] = ev
-			m.scoredRaw[i] = tlabel[i]
-			m.scoredStages[i] = stage[i]
-			m.TriageExited++
-			continue
-		}
-		m.scoredVotes[i] = subVotes[j]
-		raw := 0
-		if subOnes[j] >= m.cfg.ModelQuorum {
-			raw = 1
-		}
-		m.scoredRaw[i] = raw
-		m.scoredStages[i] = 0
-		m.TriageFallthrough++
-		j++
-	}
-}
-
 // completeService is the Prediction module finishing one item, plus
 // the Data Processor's aggregation of the result (§IV-C4 ensemble
-// and window voting).
+// and window voting). The queue's head block (one record at the
+// default PredictBatch) is scored in one call, and completions then
+// consume one cached verdict each.
 func (m *Mechanism) completeService() {
-	// Prediction module: standardize and run the ensemble over the
-	// queue head block (a 1-record block at the default PredictBatch),
-	// then consume one cached result per completion.
-	if len(m.scoredVotes) == 0 {
-		m.scoreHead()
+	if len(m.scored) == 0 {
+		m.scored = m.sc.score(&m.scratch, m.queue[:min(m.cfg.PredictBatch, len(m.queue))])
 	}
-	rec := m.queue[0]
+	rec, v := m.queue[0].rec, m.scored[0]
 	copy(m.queue, m.queue[1:])
 	m.queue = m.queue[:len(m.queue)-1]
-	votes, raw, stage := m.scoredVotes[0], m.scoredRaw[0], m.scoredStages[0]
-	m.scoredVotes = m.scoredVotes[1:]
-	m.scoredRaw = m.scoredRaw[1:]
-	m.scoredStages = m.scoredStages[1:]
+	m.scored = m.scored[1:]
 
-	m.Predictions++
-
-	// Data Processor aggregation: slide the per-flow window and take
-	// a strict majority (ties resolve benign).
-	w := append(m.windows[rec.Key], raw)
-	if len(w) > m.cfg.VoteWindow {
-		w = w[len(w)-m.cfg.VoteWindow:]
-	}
-	m.windows[rec.Key] = w
-	sum := 0
-	for _, v := range w {
-		sum += v
-	}
-	label := 0
-	if 2*sum > len(w) {
-		label = 1
-	}
-
-	now := m.eng.Now()
-	d := Decision{
-		Key:        rec.Key,
-		Label:      label,
-		Seq:        rec.Updates - 1,
-		At:         now,
-		Latency:    now - rec.UpdatedAt,
-		Votes:      votes,
-		Stage:      stage,
-		Truth:      rec.Truth,
-		AttackType: rec.AttackType,
-	}
-	m.Decisions = append(m.Decisions, d)
-	m.DB.AppendPrediction(store.PredictionRecord{
-		Key: rec.Key, Label: label, At: now, Latency: d.Latency,
-		Votes: votes, Truth: rec.Truth, AttackType: rec.AttackType,
-	})
-	if m.OnDecision != nil {
-		m.OnDecision(d)
+	if v.lost == "" {
+		m.Predictions++
+		if m.sc.cascade != nil {
+			if v.stage > 0 {
+				m.TriageExited++
+			} else {
+				m.TriageFallthrough++
+			}
+		}
+		d := newDecision(rec, v, m.votes.vote(rec.Key, v.raw), m.eng.Now())
+		m.Decisions = append(m.Decisions, d)
+		m.DB.AppendPrediction(d.prediction())
+		if m.OnDecision != nil {
+			m.OnDecision(d)
+		}
 	}
 
 	if len(m.queue) > 0 {
@@ -495,16 +343,11 @@ func (m *Mechanism) completeService() {
 }
 
 // sweepTick evicts idle flows from the table; the eviction hook
-// removes their vote windows and database records in the same pass. A
-// safety pass clears windows whose flow is gone entirely (a late
-// decision can re-create one after its flow was swept).
+// removes their vote windows and database records in the same pass,
+// and the window sweep clears windows whose flow is gone entirely.
 func (m *Mechanism) sweepTick() {
 	m.Table.Sweep(m.eng.Now())
-	for key := range m.windows {
-		if m.Table.Get(key) == nil {
-			delete(m.windows, key)
-		}
-	}
+	m.votes.sweep(func(k flow.Key) bool { return m.Table.Get(k) != nil })
 	m.eng.After(m.cfg.SweepInterval, m.sweepTick)
 }
 

@@ -281,8 +281,8 @@ func TestMechanismSweepEvictsState(t *testing.T) {
 	if m.DB.FlowCount() != 0 {
 		t.Errorf("db flows = %d after idle timeout", m.DB.FlowCount())
 	}
-	if len(m.windows) != 0 {
-		t.Errorf("vote windows = %d after idle timeout", len(m.windows))
+	if n := m.votes.count(); n != 0 {
+		t.Errorf("vote windows = %d after idle timeout", n)
 	}
 }
 

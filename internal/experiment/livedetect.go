@@ -32,7 +32,8 @@ type LiveConfig struct {
 	// VoteWindow overrides the last-N smoothing window (default 3,
 	// §IV-C4); 1 disables smoothing for the ablation.
 	VoteWindow int
-	// ModelQuorum overrides the ensemble vote threshold (default 2).
+	// ModelQuorum overrides the ensemble vote threshold (default 2,
+	// clamped by the mechanism to the ensemble size).
 	ModelQuorum int
 	// Ensemble overrides the member set; nil selects StageTwoModels.
 	Ensemble []ModelSpec
@@ -46,10 +47,9 @@ type LiveConfig struct {
 	// the paper pre-trains on data replayed through the testbed
 	// (§IV-C2).
 	AttackUtilization float64
-	// Shards selects the mechanism's database layout: zero is the
-	// paper's single-lock store, n >= 1 a ShardedDB with n shards.
-	// Table VI is bit-identical between the two at n=1 — the golden
-	// tests pin that.
+	// Shards stripes the mechanism's database over a ShardedDB with
+	// this many shards (default 1). Table VI is bit-identical at every
+	// width — the golden tests pin that.
 	Shards int
 	// PredictBatch sizes the Prediction module's scoring micro-batch:
 	// up to this many queued records are standardized and voted in one
@@ -103,9 +103,6 @@ func (cfg *LiveConfig) fillDefaults() {
 	}
 	if cfg.Ensemble == nil {
 		cfg.Ensemble = StageTwoModels()
-	}
-	if cfg.ModelQuorum > len(cfg.Ensemble) {
-		cfg.ModelQuorum = (len(cfg.Ensemble) + 1) / 2
 	}
 	if cfg.Triage {
 		if cfg.TriageThreshold == 0 {

@@ -64,14 +64,6 @@ func TestLiveSingleModelEnsemble(t *testing.T) {
 	}
 }
 
-func TestLiveQuorumClamped(t *testing.T) {
-	cfg := LiveConfig{Ensemble: StageTwoModels()[:1], ModelQuorum: 3}
-	cfg.fillDefaults()
-	if cfg.ModelQuorum != 1 {
-		t.Errorf("quorum = %d for 1-model ensemble, want clamp to 1", cfg.ModelQuorum)
-	}
-}
-
 func TestRunMitigation(t *testing.T) {
 	rows, err := RunMitigation(LiveConfig{
 		Scale: traffic.ScaleTiny, Seed: 42, PacketsPerType: 400,

@@ -158,7 +158,7 @@ func faultKey(p uint16) flow.Key {
 
 func TestStoreWrapperInjectsOnFalliblePathsOnly(t *testing.T) {
 	in := New(Spec{StoreErr: 1}, 1)
-	db := WrapStore(store.New(), in)
+	db := WrapStore(store.NewSharded(1), in)
 	if _, err := db.TryUpsertFlow(faultKey(1), []float64{1}, 0, 0, 1, false, ""); !errors.Is(err, ErrInjected) {
 		t.Fatalf("TryUpsertFlow error = %v, want ErrInjected", err)
 	}
@@ -184,7 +184,7 @@ func TestStoreWrapperInjectsOnFalliblePathsOnly(t *testing.T) {
 
 func TestStoreWrapperCleanWhenNoStoreFaults(t *testing.T) {
 	in := New(Spec{Drop: 1}, 1) // faults elsewhere only
-	db := WrapStore(store.New(), in)
+	db := WrapStore(store.NewSharded(1), in)
 	if _, err := db.TryUpsertFlow(faultKey(1), []float64{1}, 0, 0, 1, false, ""); err != nil {
 		t.Fatalf("TryUpsertFlow = %v", err)
 	}

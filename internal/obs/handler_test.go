@@ -29,7 +29,8 @@ func TestHandlerEndpoints(t *testing.T) {
 	reg.Gauge("queue_depth").Set(2)
 	reg.Histogram("lat_seconds", nil).Observe(0.01)
 	tr := reg.Tracer("pipeline", 1, 4)
-	sp := tr.Sample("10.0.0.1:1>10.0.0.2:80/tcp")
+	sp := tr.Sample()
+	sp.Flow = "10.0.0.1:1>10.0.0.2:80/tcp"
 	sp.Stage("predict", time.Now().Add(-time.Millisecond))
 	tr.Finish(sp)
 
@@ -52,7 +53,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 
 	code, body = get(t, srv, "/traces")
-	if code != 200 || !strings.Contains(body, "predict=") {
+	if code != 200 || !strings.Contains(body, "predict=") || !strings.Contains(body, "10.0.0.1:1>10.0.0.2:80/tcp") {
 		t.Errorf("/traces = %d %q", code, body)
 	}
 

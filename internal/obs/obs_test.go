@@ -43,7 +43,7 @@ func TestNilSafety(t *testing.T) {
 	h.Since(time.Now())
 	cv.With("x").Inc()
 	hv.With("x").Observe(1)
-	sp = tr.Sample("flow")
+	sp = tr.Sample()
 	sp.Stage("s", time.Now())
 	tr.Finish(sp)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
@@ -206,7 +206,7 @@ func TestTracerSampling(t *testing.T) {
 	tr := newTracer("t", 4, 8)
 	sampled := 0
 	for i := 0; i < 100; i++ {
-		sp := tr.Sample("flow")
+		sp := tr.Sample()
 		if sp == nil {
 			continue
 		}

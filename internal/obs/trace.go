@@ -104,15 +104,16 @@ func newTracer(name string, sampleEvery, keep int) *Tracer {
 }
 
 // Sample returns a fresh *Trace for 1-in-N calls and nil otherwise.
-// Nil-safe: a nil tracer never samples.
-func (t *Tracer) Sample(flow string) *Trace {
+// The caller labels a sampled trace's Flow, so unsampled calls never
+// pay for rendering a flow key. Nil-safe: a nil tracer never samples.
+func (t *Tracer) Sample() *Trace {
 	if t == nil {
 		return nil
 	}
 	if t.n.Add(1)%t.every != 1 && t.every != 1 {
 		return nil
 	}
-	return &Trace{ID: t.ids.Add(1), Flow: flow}
+	return &Trace{ID: t.ids.Add(1)}
 }
 
 // Finish stamps the trace and stores it in the ring buffer.

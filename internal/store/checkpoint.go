@@ -39,26 +39,6 @@ type ShardExport struct {
 	slab []float64
 }
 
-// Checkpointable is the optional export/import surface of a store.
-// The in-memory DB and ShardedDB implement it; fault-injection
-// wrappers deliberately do not (a checkpoint must read the real
-// state, not a fault-shaped view), so consumers capture the concrete
-// store before wrapping.
-type Checkpointable interface {
-	// ExportShard deep-copies one shard's durable state.
-	// Out-of-range shards yield a zero export.
-	ExportShard(shard int) ShardExport
-	// ImportShard loads an export into one shard, replacing its
-	// state. It fails when the shard index is out of range — the
-	// checkpointed shard count must match the store's.
-	ImportShard(shard int, ex ShardExport) error
-	// ImportPredictions replaces the whole prediction log with a
-	// restored global-order history — the version-1 snapshot layout,
-	// where the log was one shared section. Version-2 snapshots carry
-	// predictions per shard inside ShardExport instead.
-	ImportPredictions(preds []PredictionRecord)
-}
-
 // ShardDeltaExport is one shard's state difference against the
 // previous export: records upserted since then, keys deleted since
 // then, the complete current journal tail (the tail replaces the
@@ -71,27 +51,6 @@ type ShardDeltaExport struct {
 	Journal []JournalEntry
 	Seq     uint64
 	Preds   []PredictionRecord
-}
-
-// DeltaCheckpointable is the incremental-checkpoint surface of a
-// store: per-shard dirty tracking so an export under the capture
-// barrier copies only what changed. Every export — full or delta —
-// resets the marks, so consecutive delta exports chain: each one is
-// the difference against whichever export came before it.
-type DeltaCheckpointable interface {
-	Checkpointable
-	// SetDeltaTracking turns dirty/removed tracking on or off and
-	// clears any stale marks. Enable it before the state an
-	// incremental export diffs against is captured.
-	SetDeltaTracking(on bool)
-	// ExportShardDelta deep-copies one shard's changes since the
-	// previous export and resets the shard's marks. Out-of-range
-	// shards yield a zero export.
-	ExportShardDelta(shard int) ShardDeltaExport
-	// ApplyShardDelta replays a delta export on top of the shard's
-	// current state: removals first, then upserts; the journal tail
-	// and sequence counter are replaced, predictions appended.
-	ApplyShardDelta(shard int, d ShardDeltaExport) error
 }
 
 // cloneRecord deep-copies a flow record (Features is the only
@@ -123,9 +82,9 @@ func raiseCounter(ctr *atomic.Uint64, v uint64) {
 	}
 }
 
-// SetDeltaTracking turns the DB's dirty/removed bookkeeping on or off
-// and clears any stale marks (see DeltaCheckpointable).
-func (db *DB) SetDeltaTracking(on bool) {
+// setDeltaTracking turns the DB's dirty/removed bookkeeping on or off
+// and clears any stale marks.
+func (db *DB) setDeltaTracking(on bool) {
 	db.mu.Lock()
 	db.track = on
 	db.dirty = make(map[flow.Key]struct{})
@@ -136,24 +95,12 @@ func (db *DB) SetDeltaTracking(on bool) {
 	db.pmu.Unlock()
 }
 
-// ExportShard deep-copies the DB's durable state (the legacy DB is
-// its own single shard). With delta tracking on, a full export resets
-// the dirty/removed marks and the prediction mark — it is the new
-// base an incremental export diffs against.
-func (db *DB) ExportShard(shard int) ShardExport {
-	return db.ExportShardInto(shard, ShardExport{})
-}
-
-// ExportShardInto is ExportShard reusing pre's backing arrays where
-// their capacity suffices. The checkpoint writer hands the previous
-// capture's export — already encoded to disk, no longer read — back
-// in, so the copy under the barrier lands in warm memory instead of
-// freshly allocated (and kernel-zeroed) pages. Callers must ensure
-// nothing else still reads pre.
-func (db *DB) ExportShardInto(shard int, pre ShardExport) ShardExport {
-	if shard != 0 {
-		return ShardExport{}
-	}
+// exportInto deep-copies the DB's durable state, reusing pre's
+// backing arrays where their capacity suffices (see
+// ShardedDB.ExportShardInto). With delta tracking on, a full export
+// resets the dirty/removed marks and the prediction mark — it is the
+// new base an incremental export diffs against.
+func (db *DB) exportInto(pre ShardExport) ShardExport {
 	var ex ShardExport
 	db.mu.Lock()
 	ex.Flows = pre.Flows[:0]
@@ -208,15 +155,12 @@ func (db *DB) ExportShardInto(shard int, pre ShardExport) ShardExport {
 	return ex
 }
 
-// ExportShardDelta deep-copies the DB's changes since the previous
-// export and resets the marks (see DeltaCheckpointable). The journal
-// tail is always exported whole: it is already the sliding window the
-// pollers haven't consumed, and replacing it on apply is what keeps
-// trimmed entries from reappearing.
-func (db *DB) ExportShardDelta(shard int) ShardDeltaExport {
-	if shard != 0 {
-		return ShardDeltaExport{}
-	}
+// exportDelta deep-copies the DB's changes since the previous export
+// and resets the marks. The journal tail is always exported whole: it
+// is already the sliding window the pollers haven't consumed, and
+// replacing it on apply is what keeps trimmed entries from
+// reappearing.
+func (db *DB) exportDelta() ShardDeltaExport {
 	var d ShardDeltaExport
 	db.mu.Lock()
 	if len(db.dirty) > 0 {
@@ -260,14 +204,10 @@ func (db *DB) ExportShardDelta(shard int) ShardDeltaExport {
 	return d
 }
 
-// ApplyShardDelta replays a delta export on top of the DB's current
-// state (see DeltaCheckpointable). The restore path applies deltas
-// base-first, so after the last one the DB matches the crashed
-// process's state at its final capture.
-func (db *DB) ApplyShardDelta(shard int, d ShardDeltaExport) error {
-	if shard != 0 {
-		return fmt.Errorf("store: apply delta shard %d out of range (DB has exactly one)", shard)
-	}
+// applyDelta replays a delta export on top of the DB's current state.
+// The restore path applies deltas base-first, so after the last one
+// the DB matches the crashed process's state at its final capture.
+func (db *DB) applyDelta(d ShardDeltaExport) {
 	db.mu.Lock()
 	for _, k := range d.Removed {
 		if old, ok := db.flows[k]; ok {
@@ -305,17 +245,13 @@ func (db *DB) ApplyShardDelta(shard int, d ShardDeltaExport) error {
 		db.predMark = db.preds[n-1].Seq
 	}
 	db.pmu.Unlock()
-	return nil
 }
 
-// ImportShard replaces the DB's durable state with an export. Journal
+// importState replaces the DB's durable state with an export. Journal
 // entries without a global stamp (version-1 snapshots) get fresh ones
 // in journal order; the shared counters are raised past every
 // restored stamp so post-restore writes continue the sequences.
-func (db *DB) ImportShard(shard int, ex ShardExport) error {
-	if shard != 0 {
-		return fmt.Errorf("store: import shard %d out of range (DB has exactly one)", shard)
-	}
+func (db *DB) importState(ex ShardExport) {
 	db.mu.Lock()
 	db.flows = make(map[flow.Key]*FlowRecord, len(ex.Flows))
 	db.featWidth = 0
@@ -352,73 +288,71 @@ func (db *DB) ImportShard(shard int, ex ShardExport) error {
 		db.predMark = db.preds[n-1].Seq
 	}
 	db.pmu.Unlock()
-	return nil
 }
 
-// ImportPredictions replaces the prediction log with a restored
-// global-order history (version-1 snapshot layout). Records without a
-// Seq stamp are stamped in input order.
-func (db *DB) ImportPredictions(preds []PredictionRecord) {
-	db.pmu.Lock()
-	defer db.pmu.Unlock()
-	db.preds = make([]PredictionRecord, 0, len(preds))
-	for _, p := range preds {
-		if p.Seq == 0 {
-			p.Seq = db.predCtr.Add(1)
-		} else {
-			raiseCounter(db.predCtr, p.Seq)
-		}
-		db.preds = append(db.preds, clonePrediction(p))
-	}
-}
-
-// ExportShard deep-copies one shard's durable state.
+// ExportShard deep-copies one shard's durable state. Out-of-range
+// shards yield a zero export. Fault-injection wrappers deliberately
+// do not expose the export surface (a checkpoint must read the real
+// state, not a fault-shaped view), so consumers keep the concrete
+// store beneath any wrapping.
 func (s *ShardedDB) ExportShard(shard int) ShardExport {
-	if shard < 0 || shard >= len(s.shards) {
-		return ShardExport{}
-	}
-	return s.shards[shard].ExportShard(0)
+	return s.ExportShardInto(shard, ShardExport{})
 }
 
-// ExportShardInto deep-copies one shard's durable state, reusing a
-// dead prior export's backing arrays (see DB.ExportShardInto).
+// ExportShardInto is ExportShard reusing pre's backing arrays where
+// their capacity suffices. The checkpoint writer hands the previous
+// capture's export — already encoded to disk, no longer read — back
+// in, so the copy under the barrier lands in warm memory instead of
+// freshly allocated (and kernel-zeroed) pages. Callers must ensure
+// nothing else still reads pre.
 func (s *ShardedDB) ExportShardInto(shard int, pre ShardExport) ShardExport {
 	if shard < 0 || shard >= len(s.shards) {
 		return ShardExport{}
 	}
-	return s.shards[shard].ExportShardInto(0, pre)
+	return s.shards[shard].exportInto(pre)
 }
 
-// ImportShard loads an export into one shard.
+// ImportShard loads an export into one shard, replacing its state. It
+// fails when the shard index is out of range — the checkpointed shard
+// count must match the store's.
 func (s *ShardedDB) ImportShard(shard int, ex ShardExport) error {
 	if shard < 0 || shard >= len(s.shards) {
 		return fmt.Errorf("store: import shard %d out of range (have %d)", shard, len(s.shards))
 	}
-	return s.shards[shard].ImportShard(0, ex)
+	s.shards[shard].importState(ex)
+	return nil
 }
 
-// SetDeltaTracking toggles dirty/removed tracking on every shard.
+// SetDeltaTracking turns dirty/removed tracking on or off on every
+// shard and clears any stale marks. Enable it before the state an
+// incremental export diffs against is captured. Every export — full
+// or delta — resets the marks, so consecutive delta exports chain:
+// each one is the difference against whichever export came before it.
 func (s *ShardedDB) SetDeltaTracking(on bool) {
 	for _, sh := range s.shards {
-		sh.SetDeltaTracking(on)
+		sh.setDeltaTracking(on)
 	}
 }
 
 // ExportShardDelta deep-copies one shard's changes since the previous
-// export and resets its marks.
+// export and resets its marks. Out-of-range shards yield a zero
+// export.
 func (s *ShardedDB) ExportShardDelta(shard int) ShardDeltaExport {
 	if shard < 0 || shard >= len(s.shards) {
 		return ShardDeltaExport{}
 	}
-	return s.shards[shard].ExportShardDelta(0)
+	return s.shards[shard].exportDelta()
 }
 
-// ApplyShardDelta replays a delta export on top of one shard.
+// ApplyShardDelta replays a delta export on top of one shard:
+// removals first, then upserts; the journal tail and sequence counter
+// are replaced, predictions appended.
 func (s *ShardedDB) ApplyShardDelta(shard int, d ShardDeltaExport) error {
 	if shard < 0 || shard >= len(s.shards) {
 		return fmt.Errorf("store: apply delta shard %d out of range (have %d)", shard, len(s.shards))
 	}
-	return s.shards[shard].ApplyShardDelta(0, d)
+	s.shards[shard].applyDelta(d)
+	return nil
 }
 
 // ImportPredictions replaces every shard's prediction log with a
@@ -445,10 +379,3 @@ func (s *ShardedDB) ImportPredictions(preds []PredictionRecord) {
 		sh.pmu.Unlock()
 	}
 }
-
-var (
-	_ Checkpointable      = (*DB)(nil)
-	_ Checkpointable      = (*ShardedDB)(nil)
-	_ DeltaCheckpointable = (*DB)(nil)
-	_ DeltaCheckpointable = (*ShardedDB)(nil)
-)

@@ -1,6 +1,6 @@
-// Differential tests: drive the legacy single-lock DB and a ShardedDB
-// with the same randomized, interleaved operation sequence and assert
-// the two are observably identical — same visible flow state, same
+// Differential tests: drive a one-shard ShardedDB and a ShardedDB of
+// another width with the same randomized, interleaved operation
+// sequence and assert the two are observably identical — same visible flow state, same
 // per-flow journal semantics, same prediction log. This is the
 // contract that makes sharding a deployment substitution rather than
 // a semantic change to the paper's mechanism.
@@ -115,7 +115,8 @@ func applyGlobalOp(rng *rand.Rand, h *diffHarness, keys []flow.Key, step int) {
 }
 
 // TestDifferentialShardedVsLegacy replays identical operation
-// sequences into a legacy DB and ShardedDBs of several widths.
+// sequences into a one-shard ShardedDB and ShardedDBs of several
+// widths (width 1 against itself pins determinism).
 func TestDifferentialShardedVsLegacy(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		for seed := int64(0); seed < 4; seed++ {
@@ -124,7 +125,7 @@ func TestDifferentialShardedVsLegacy(t *testing.T) {
 				for i := range keys {
 					keys[i] = testKey(i)
 				}
-				legacy := newDiffHarness(New())
+				base := newDiffHarness(NewSharded(1))
 				sharded := newDiffHarness(NewSharded(shards))
 
 				// Two independent RNGs with the same seed: each harness
@@ -132,13 +133,13 @@ func TestDifferentialShardedVsLegacy(t *testing.T) {
 				rngA := rand.New(rand.NewSource(seed))
 				rngB := rand.New(rand.NewSource(seed))
 				for step := 0; step < 2000; step++ {
-					applyOp(rngA, legacy, keys, step)
+					applyOp(rngA, base, keys, step)
 					applyOp(rngB, sharded, keys, step)
 				}
-				legacy.pollAll(64, true)
+				base.pollAll(64, true)
 				sharded.pollAll(64, true)
 
-				assertStoresEqual(t, legacy, sharded, keys)
+				assertStoresEqual(t, base, sharded, keys)
 			})
 		}
 	}
@@ -146,7 +147,8 @@ func TestDifferentialShardedVsLegacy(t *testing.T) {
 
 // TestDifferentialGlobalPollAndPredictions replays identical
 // sequences of upserts, global-order polls, prediction appends, and
-// deletes into a legacy DB and ShardedDBs of several widths: the
+// deletes into a one-shard ShardedDB and ShardedDBs of several
+// widths: the
 // merged global journal stream and the merged prediction log must be
 // identical element for element — cross-flow order included. This is
 // the store-level contract behind Table VI's byte-identity at every
@@ -159,35 +161,35 @@ func TestDifferentialGlobalPollAndPredictions(t *testing.T) {
 				for i := range keys {
 					keys[i] = testKey(i)
 				}
-				legacy := newDiffHarness(New())
+				base := newDiffHarness(NewSharded(1))
 				sharded := newDiffHarness(NewSharded(shards))
 				rngA := rand.New(rand.NewSource(seed))
 				rngB := rand.New(rand.NewSource(seed))
 				for step := 0; step < 2000; step++ {
-					applyGlobalOp(rngA, legacy, keys, step)
+					applyGlobalOp(rngA, base, keys, step)
 					applyGlobalOp(rngB, sharded, keys, step)
 				}
 				// Drain both global streams completely.
 				for {
-					before := len(legacy.globalPolled)
-					legacy.pollGlobalOnce(64, true)
+					before := len(base.globalPolled)
+					base.pollGlobalOnce(64, true)
 					sharded.pollGlobalOnce(64, true)
-					if len(legacy.globalPolled) == before {
+					if len(base.globalPolled) == before {
 						break
 					}
 				}
 
-				wantStream := projectKeyedJournal(legacy.globalPolled)
+				wantStream := projectKeyedJournal(base.globalPolled)
 				gotStream := projectKeyedJournal(sharded.globalPolled)
 				if !reflect.DeepEqual(wantStream, gotStream) {
 					t.Errorf("global poll streams differ (%d vs %d records)", len(gotStream), len(wantStream))
 				}
-				if !reflect.DeepEqual(legacy.db.Predictions(), sharded.db.Predictions()) {
+				if !reflect.DeepEqual(base.db.Predictions(), sharded.db.Predictions()) {
 					t.Errorf("prediction logs differ (%d vs %d records)",
-						sharded.db.PredictionCount(), legacy.db.PredictionCount())
+						sharded.db.PredictionCount(), base.db.PredictionCount())
 				}
-				if l, s := legacy.db.JournalLen(), sharded.db.JournalLen(); l != s {
-					t.Errorf("JournalLen after global drain: legacy %d, sharded %d", l, s)
+				if l, s := base.db.JournalLen(), sharded.db.JournalLen(); l != s {
+					t.Errorf("JournalLen after global drain: base %d, sharded %d", l, s)
 				}
 			})
 		}
@@ -198,17 +200,17 @@ func TestDifferentialGlobalPollAndPredictions(t *testing.T) {
 func assertStoresEqual(t *testing.T, want, got *diffHarness, keys []flow.Key) {
 	t.Helper()
 	if want.db.FlowCount() != got.db.FlowCount() {
-		t.Errorf("FlowCount: legacy %d, sharded %d", want.db.FlowCount(), got.db.FlowCount())
+		t.Errorf("FlowCount: base %d, sharded %d", want.db.FlowCount(), got.db.FlowCount())
 	}
 	if want.db.JournalLen() != got.db.JournalLen() {
-		t.Errorf("JournalLen after drain: legacy %d, sharded %d",
+		t.Errorf("JournalLen after drain: base %d, sharded %d",
 			want.db.JournalLen(), got.db.JournalLen())
 	}
 	for _, key := range keys {
 		wr, wok := want.db.Flow(key)
 		gr, gok := got.db.Flow(key)
 		if wok != gok {
-			t.Errorf("%s: exists legacy=%v sharded=%v", key, wok, gok)
+			t.Errorf("%s: exists base=%v sharded=%v", key, wok, gok)
 			continue
 		}
 		if wok {
@@ -256,7 +258,7 @@ func projectJournal(recs []FlowRecord) []string {
 // unspecified under concurrency; per-flow order is the invariant the
 // vote window needs.
 func TestDifferentialConcurrent(t *testing.T) {
-	for _, db := range []Store{New(), NewSharded(8)} {
+	for _, db := range []Store{NewSharded(1), NewSharded(8)} {
 		db := db
 		t.Run(fmt.Sprintf("shards=%d", db.Shards()), func(t *testing.T) {
 			const writers, perWriter, flows = 8, 500, 16

@@ -126,7 +126,7 @@ func TestMergedPredictionsLinearize(t *testing.T) {
 // legacy log element for element — the single shared log is the
 // oracle the merge-on-read view is checked against.
 func TestMergedPredictionsMatchSingleLogOracle(t *testing.T) {
-	appends := func(db Store, seed int64) {
+	appends := func(db interface{ AppendPrediction(PredictionRecord) }, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 1500; i++ {
 			db.AppendPrediction(PredictionRecord{

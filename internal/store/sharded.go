@@ -17,13 +17,10 @@ import (
 // design. The only cross-shard state is a pair of atomic sequence
 // counters: every journal entry carries a global ingest stamp and
 // every prediction a global decision stamp, so the per-shard logs are
-// mergeable into the exact total orders the legacy single-lock layout
-// recorded directly (PollGlobal, Predictions).
-//
-// With one shard, a ShardedDB is a thin wrapper around a single DB
-// and observably identical to it (the differential tests assert
-// this), which keeps the paper's Table VI reproduction bit-exact at
-// N=1.
+// mergeable into the exact total orders one shared journal and log
+// would record (PollGlobal, Predictions). The differential tests
+// assert every width observably identical to one shard, which keeps
+// the paper's Table VI reproduction bit-exact at any width.
 type ShardedDB struct {
 	shards []*DB
 
@@ -208,7 +205,7 @@ func (s *ShardedDB) SetJournalNew(on bool) {
 }
 
 // Instrument registers the striped database's metrics on reg: the
-// aggregate gauges the legacy DB exposes, a per-shard journal-length
+// journal backlog and live-record gauges, a per-shard journal-length
 // gauge family, a shard-imbalance gauge (max/mean flow count across
 // shards; 1.0 is a perfect spread), and a lock-contention counter
 // shared by all shards. The shared upsert-latency histogram is wired

@@ -64,13 +64,10 @@ type PredictionRecord struct {
 }
 
 // Store is the database contract the detection pipeline runs
-// against. Two implementations exist: DB, the paper-faithful single
-// mutex around one flow map (the shape of the original Python
-// deployment's one database), and ShardedDB, N lock-striped DB shards
-// for multi-core ingest. The journal is exposed per shard — Shards,
-// PollShard, TrimShard — so a poller per shard never touches a global
-// lock; a single-shard store is polled exactly like the legacy
-// PollUpdates/TrimJournal pair.
+// against: ShardedDB, N lock-striped DB shards (one shard is the
+// paper's one database), or a fault-injecting wrapper around it. The
+// journal is exposed per shard — Shards, PollShard, TrimShard — so a
+// poller per shard never touches a global lock.
 type Store interface {
 	// UpsertFlow writes a feature snapshot for key, returning whether
 	// the record was created. The features slice is copied.
@@ -82,7 +79,7 @@ type Store interface {
 	// DeleteFlow removes a flow record (eviction passthrough).
 	DeleteFlow(key flow.Key)
 
-	// Shards returns the journal stripe count (1 for the legacy DB).
+	// Shards returns the journal stripe count.
 	Shards() int
 	// PollShard returns up to max journal entries after cursor on one
 	// shard and the new cursor — the CentralServer's change feed.
@@ -140,7 +137,8 @@ type journalEntry struct {
 	rec  FlowRecord // snapshot by value at write time
 }
 
-// DB is the in-memory database. Its state is split across three
+// DB is one in-memory database shard — on its own, the shape of the
+// paper's one database. Its state is split across three
 // locks so the hot paths never serialize on each other: mu guards the
 // flow map (ingest's record work), jmu the journal and sequence
 // counters (ingest's append vs. the pollers), and pmu the prediction
@@ -194,33 +192,20 @@ type DB struct {
 	JournalNew bool
 
 	// UpsertLatency, when set, observes the wall-clock duration of
-	// every UpsertFlow call in seconds (nil-safe; set by Instrument).
+	// every UpsertFlow call in seconds (nil-safe; set by
+	// ShardedDB.Instrument).
 	UpsertLatency *obs.Histogram
 
 	// Contention, when set, counts UpsertFlow calls that found the
-	// mutex already held (nil-safe; set by Instrument and by
-	// ShardedDB.Instrument to quantify residual intra-shard
-	// contention).
+	// mutex already held (nil-safe; set by ShardedDB.Instrument to
+	// quantify residual intra-shard contention).
 	Contention *obs.Counter
 
 	// PredContention, when set, counts AppendPrediction calls that
 	// found the prediction-log mutex already held (nil-safe; set by
-	// Instrument and by ShardedDB.Instrument). With per-shard logs
-	// only workers finishing flows of the same shard can collide here.
+	// ShardedDB.Instrument). With per-shard logs only workers
+	// finishing flows of the same shard can collide here.
 	PredContention *obs.Counter
-}
-
-// Instrument registers the database's metrics on reg: the journal
-// backlog and live-record gauges, the upsert latency histogram, and
-// the lock-contention counters. Call once per database;
-// re-registration on the same registry is a no-op for the gauges.
-func (db *DB) Instrument(reg *obs.Registry) {
-	reg.GaugeFunc("intddos_store_journal_length", func() float64 { return float64(db.JournalLen()) })
-	reg.GaugeFunc("intddos_store_flows", func() float64 { return float64(db.FlowCount()) })
-	reg.GaugeFunc("intddos_store_predictions_logged", func() float64 { return float64(db.PredictionCount()) })
-	db.UpsertLatency = reg.Histogram("intddos_store_upsert_seconds", nil)
-	db.Contention = reg.Counter("intddos_store_lock_contention_total")
-	db.PredContention = reg.Counter("intddos_store_predlog_contention_total")
 }
 
 // New returns an empty database that journals new records.
@@ -362,21 +347,6 @@ func (db *DB) pollGlobalEntries(cursor uint64, max int) []journalEntry {
 	return append([]journalEntry(nil), db.journal[start:end]...)
 }
 
-// PollGlobal returns up to max journal entries after cursor in global
-// ingest order and the new cursor. For the single-journal DB the
-// global order is the journal order.
-func (db *DB) PollGlobal(cursor uint64, max int) ([]FlowRecord, uint64) {
-	entries := db.pollGlobalEntries(cursor, max)
-	if len(entries) == 0 {
-		return nil, cursor
-	}
-	out := make([]FlowRecord, 0, len(entries))
-	for _, e := range entries {
-		out = append(out, e.rec)
-	}
-	return out, entries[len(entries)-1].gseq
-}
-
 // TrimGlobal drops journal entries whose global stamp is at or before
 // cursor.
 func (db *DB) TrimGlobal(cursor uint64) {
@@ -435,11 +405,8 @@ func (db *DB) DeleteFlow(key flow.Key) {
 	}
 }
 
-// Shards returns 1: the legacy database is a single journal stripe.
-func (db *DB) Shards() int { return 1 }
-
-// PollShard is PollUpdates on the store's only stripe, giving DB the
-// same per-shard polling surface as ShardedDB. A shard other than 0 —
+// PollShard is PollUpdates on the DB's only stripe, giving a lone DB
+// the same per-shard polling surface as ShardedDB. A shard other than 0 —
 // e.g. a cursor restored from a checkpoint taken at a different shard
 // count — yields no entries and leaves the cursor unchanged rather
 // than panicking: the poller observes an empty feed and the restore
@@ -466,5 +433,3 @@ func (db *DB) SetJournalNew(on bool) {
 	defer db.mu.Unlock()
 	db.JournalNew = on
 }
-
-var _ Store = (*DB)(nil)

@@ -157,7 +157,7 @@ func TestDeleteFlow(t *testing.T) {
 }
 
 func TestInstrument(t *testing.T) {
-	db := New()
+	db := NewSharded(1)
 	reg := obs.NewRegistry()
 	db.Instrument(reg)
 	db.UpsertFlow(key(1), []float64{1}, 0, 0, 1, false, "")
@@ -173,7 +173,7 @@ func TestInstrument(t *testing.T) {
 	if h, ok := s.Histogram("intddos_store_upsert_seconds"); !ok || h.Count != 2 {
 		t.Errorf("upsert histogram count = %d, want 2", h.Count)
 	}
-	db.TrimJournal(2)
+	db.TrimShard(0, 2)
 	if got := reg.Snapshot().Gauges["intddos_store_journal_length"]; got != 0 {
 		t.Errorf("journal gauge after trim = %v, want 0", got)
 	}

@@ -6,9 +6,9 @@
 // the smoke script's failure output says which artifact regressed.
 //
 // With -bench-shard it instead validates a BENCH_shard.json sweep
-// (`make bench-shard` / the CI bench-shard smoke): the legacy
-// baseline row plus at least one sharded row, positive throughput in
-// every row, and a populated contention attribution.
+// (`make bench-shard` / the CI bench-shard smoke): the one-shard
+// baseline row plus at least one multi-shard row, positive throughput
+// in every row, and a populated contention attribution.
 //
 // With -bench-tier it validates a BENCH_tier.json sweep (`make
 // bench-tier` / the CI bench-tier smoke): untiered baseline rows plus
@@ -85,9 +85,9 @@ func main() {
 }
 
 // checkBenchShard validates a BenchmarkShardScaling sweep file: the
-// sweep must have completed (legacy baseline plus sharded rows, each
-// with positive throughput) and carry the contention attribution the
-// scaling analysis reads.
+// sweep must have completed (one-shard baseline plus multi-shard rows,
+// each with positive throughput) and carry the contention attribution
+// the scaling analysis reads.
 func checkBenchShard(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -111,22 +111,22 @@ func checkBenchShard(path string) error {
 	if sweep.Bench != "BenchmarkShardScaling" {
 		return fmt.Errorf("bench is %q, want BenchmarkShardScaling", sweep.Bench)
 	}
-	legacy, sharded := false, 0
+	baseline, sharded := false, 0
 	for i, r := range sweep.Results {
 		if r.NsPerIngest <= 0 || r.IngestPerSec <= 0 {
 			return fmt.Errorf("result %d (shards=%d): non-positive throughput", i, r.Shards)
 		}
-		if r.Shards == 0 {
-			legacy = true
+		if r.Shards == 1 {
+			baseline = true
 		} else {
 			sharded++
 		}
 	}
-	if !legacy {
-		return fmt.Errorf("sweep has no legacy (shards=0) baseline row")
+	if !baseline {
+		return fmt.Errorf("sweep has no one-shard (shards=1) baseline row")
 	}
 	if sharded == 0 {
-		return fmt.Errorf("sweep has no sharded rows")
+		return fmt.Errorf("sweep has no multi-shard rows")
 	}
 	if sweep.Attribution == nil || len(sweep.Attribution.Stages) == 0 {
 		return fmt.Errorf("sweep has no contention attribution")
